@@ -74,6 +74,10 @@ type Executor struct {
 	prog *Program
 	cfg  ExecConfig
 	rng  *xrand.Rand
+	// seed is "exec/" + cfg.Seed, built once so Reset can reseed without
+	// allocating (a concatenation longer than 32 bytes escapes to the
+	// heap).
+	seed string
 
 	rootZipf *xrand.ZipfTable
 	threads  []*threadState
@@ -98,10 +102,12 @@ func NewExecutor(prog *Program, cfg ExecConfig) *Executor {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
+	seed := "exec/" + cfg.Seed
 	x := &Executor{
 		prog:     prog,
 		cfg:      cfg,
-		rng:      xrand.NewFromString("exec/" + cfg.Seed),
+		rng:      xrand.NewFromString(seed),
+		seed:     seed,
 		rootZipf: xrand.NewZipfTable(len(cfg.Roots), cfg.RootSkew),
 		threads:  make([]*threadState, cfg.Threads),
 	}
@@ -121,7 +127,7 @@ func (x *Executor) Stats() ExecStats { return x.stats }
 // their capacity, making repeated simulation runs allocation-free once
 // the deepest call chain has been seen.
 func (x *Executor) Reset() {
-	x.rng.SeedFromString("exec/" + x.cfg.Seed)
+	x.rng.SeedFromString(x.seed)
 	for _, t := range x.threads {
 		t.stack = t.stack[:0]
 		t.cur = blockRef{}

@@ -51,13 +51,11 @@ func readGolden(t *testing.T, id string) string {
 }
 
 // TestGoldenOutputs holds every experiment to its committed small-scale
-// output, byte for byte, across serial, 8-way-parallel, intra-parallel
-// (2/4/8 producer shards per run), and speculative execution — the full
-// intra {1,4} x spec {off,on} matrix plus a forced-rollback chaos
-// variant. This is the regression net under the whole sweep machinery:
-// any change to simulator semantics, table rendering, or scheduling —
-// including the intra-run event pipeline and the speculative merge
-// tier's commit/rollback protocol — that alters a single byte of any
+// output, byte for byte, across serial, 8-way-parallel, and
+// intra-parallel (2/4/8 producer shards per run) execution. This is the
+// regression net under the whole sweep machinery: any change to
+// simulator semantics, table rendering, or scheduling — including the
+// intra-run event pipeline — that alters a single byte of any
 // experiment fails here.
 func TestGoldenOutputs(t *testing.T) {
 	if *updateGolden {
@@ -90,31 +88,6 @@ func TestGoldenOutputs(t *testing.T) {
 			e.Close()
 		}
 	}()
-	// The speculative leg of the matrix: spec-on at intra 1 and 4, plus
-	// a chaos engine forcing rollbacks mid-checkpoint-interval, which
-	// must STILL render golden bytes (rollbacks re-execute serially).
-	specModes := []struct {
-		name  string
-		intra int
-		chaos int
-	}{
-		{"spec", 0, 0},
-		{"spec-intra-4", 4, 0},
-		{"spec-chaos-5", 0, 5},
-	}
-	specEngines := make([]*engine.Engine, len(specModes))
-	for i, m := range specModes {
-		e := engine.New(4)
-		e.SetSpeculative(2)
-		if m.intra > 1 {
-			e.SetIntraParallelism(m.intra)
-		}
-		if m.chaos > 0 {
-			e.SetSpecChaos(m.chaos)
-		}
-		specEngines[i] = e
-		defer e.Close()
-	}
 	for _, r := range Registry() {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
@@ -130,15 +103,6 @@ func TestGoldenOutputs(t *testing.T) {
 				o.IntraParallelism = n
 				if got := r.Run(o); got != want {
 					t.Errorf("intra-%d output diverged from golden:\n--- golden\n%s\n--- got\n%s", n, want, got)
-				}
-			}
-			for i, m := range specModes {
-				o := goldenOptions(4, specEngines[i])
-				o.IntraParallelism = m.intra
-				o.Speculative = 2
-				o.SpecChaos = m.chaos
-				if got := r.Run(o); got != want {
-					t.Errorf("%s output diverged from golden:\n--- golden\n%s\n--- got\n%s", m.name, want, got)
 				}
 			}
 		})

@@ -106,6 +106,39 @@ func TestIntraPooledRunnerChurn(t *testing.T) {
 	}
 }
 
+// TestSpecPooledRunnerChurn drives one pooled Runner across workload
+// specs of different shapes, serial and intra-parallel, including a
+// serial run of another workload right after an intra run: pooled
+// per-core, uncore and ring state from one spec must never leak into
+// the next.
+func TestSpecPooledRunnerChurn(t *testing.T) {
+	spec, ok := workload.ByName("OLTP-DB2")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	web, ok := workload.ByName("Web-Zeus")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	cfg := Config{EventsPerCore: 15_000, WarmupEvents: 4_000, Mechanism: Baseline()}
+	r := NewRunner()
+	for _, step := range []struct {
+		spec  workload.Spec
+		intra int
+	}{
+		{spec, 0}, {web, 0}, {spec, 4}, {web, 0}, {spec, 0}, {web, 4}, {spec, 0},
+	} {
+		c := cfg
+		c.IntraParallelism = step.intra
+		pooled := copyResult(r.Run(step.spec, workload.ScaleSmall, c))
+		fresh := Run(step.spec, workload.ScaleSmall, cfg)
+		if !resultsEqual(fresh, pooled) {
+			t.Errorf("%s intra=%d: pooled run diverged from serial fresh run",
+				step.spec.Name, step.intra)
+		}
+	}
+}
+
 // TestIntraRace runs the maximum shard fan-out repeatedly on one pooled
 // Runner; its value is under `go test -race`, where it sweeps the
 // producer/consumer handoff, the ring reset, and worker-pool reuse.
@@ -129,5 +162,41 @@ func TestIntraRace(t *testing.T) {
 		} else if !resultsEqual(first, got) {
 			t.Fatalf("run %d diverged under intra=8", i)
 		}
+	}
+}
+
+// TestRunnerClose: Close releases the intra producer goroutines, is
+// idempotent, and leaves the Runner fully usable — a later run
+// recreates the workers and still matches a fresh serial run.
+func TestRunnerClose(t *testing.T) {
+	spec, ok := workload.ByName("OLTP-DB2")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	cfg := Config{
+		EventsPerCore:    12_000,
+		WarmupEvents:     3_000,
+		Mechanism:        Baseline(),
+		IntraParallelism: 4,
+	}
+	serial := cfg
+	serial.IntraParallelism = 0
+	want := Run(spec, workload.ScaleSmall, serial)
+
+	r := NewRunner()
+	r.Close() // Close before any run is a no-op
+	for i := 0; i < 3; i++ {
+		got := copyResult(r.Run(spec, workload.ScaleSmall, cfg))
+		if !resultsEqual(want, got) {
+			t.Fatalf("cycle %d: run after Close diverged", i)
+		}
+		if r.intra.work == nil {
+			t.Fatalf("cycle %d: intra run started no workers", i)
+		}
+		r.Close()
+		if r.intra.work != nil || r.intra.workers != 0 {
+			t.Fatalf("cycle %d: Close left workers registered", i)
+		}
+		r.Close() // idempotent
 	}
 }

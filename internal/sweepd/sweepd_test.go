@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -414,7 +415,7 @@ func TestCanonicalization(t *testing.T) {
 	}
 
 	// IntraParallelism is an execution knob, not an output knob: it must
-	// never reach either key form, and a negative value normalizes away.
+	// never reach either key form.
 	for _, base := range []JobRequest{
 		{Workload: "Web-Zeus"},
 		{Experiments: []string{"fig1"}},
@@ -433,15 +434,6 @@ func TestCanonicalization(t *testing.T) {
 			t.Errorf("intra_parallelism leaked into the canonical key: %q != %q", serialKey, intraKey)
 		}
 	}
-	neg := JobRequest{Workload: "Web-Zeus", IntraParallelism: -3}
-	n2, _, _, err := canonicalize(neg)
-	if err != nil {
-		t.Fatalf("negative intra request: %v", err)
-	}
-	if n2.IntraParallelism != 0 {
-		t.Errorf("negative IntraParallelism normalized to %d, want 0", n2.IntraParallelism)
-	}
-
 	for _, bad := range []JobRequest{
 		{Experiments: []string{"nope"}},
 		{Workloads: []string{"nope"}},
@@ -454,6 +446,38 @@ func TestCanonicalization(t *testing.T) {
 		if _, _, _, err := canonicalize(bad); err == nil {
 			t.Errorf("request %+v canonicalized without error", bad)
 		}
+	}
+}
+
+// TestNegativeWidthsRejected: a negative core count or intra width is a
+// client error, answered with a 400 that names the field, never
+// silently replaced by a default.
+func TestNegativeWidthsRejected(t *testing.T) {
+	_, ts := startService(t, "", Config{Parallelism: 1})
+	for _, tc := range []struct {
+		name string
+		body string
+		want string
+	}{
+		{"sweep-cores", `{"experiments":["fig1"],"cores":-1}`, "cores -1"},
+		{"sim-cores", `{"workload":"Web-Zeus","cores":-4}`, "cores -4"},
+		{"sweep-intra", `{"experiments":["fig1"],"intra_parallelism":-2}`, "intra_parallelism -2"},
+		{"sim-intra", `{"workload":"Web-Zeus","intra_parallelism":-1}`, "intra_parallelism -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			msg, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, msg)
+			}
+			if !strings.Contains(string(msg), tc.want) || !strings.Contains(string(msg), "non-negative") {
+				t.Errorf("error %q does not name %q as non-negative", msg, tc.want)
+			}
+		})
 	}
 }
 

@@ -123,12 +123,6 @@ type (
 	// TIFSConfig parameterizes the TIFS hardware (IML size,
 	// virtualization, SVB, lookahead, end-of-stream, failure injection).
 	TIFSConfig = core.Config
-	// SpecStats is the speculative merge tier's telemetry
-	// (SimResult.Spec): windows predicted, committed, and rolled back,
-	// plus whether the fallback latched speculation off mid-run. It is
-	// execution telemetry only — never part of reports, goldens, or
-	// stored result bytes.
-	SpecStats = sim.SpecStats
 )
 
 // Mechanism constructors.

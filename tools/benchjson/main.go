@@ -5,21 +5,11 @@
 //	go run ./tools/benchjson            # writes BENCH_<short-sha>.json
 //	go run ./tools/benchjson -o out.json
 //
-// Each snapshot runs the pooled simulator benchmark serially, at
-// intra-run sharding levels 2/4/8, and under the speculative merge
-// tier (clean, composed with intra sharding, and with chaos-forced
-// rollbacks latching speculation off) through testing.Benchmark,
-// recording events/s, ns/op, and allocations per run. The allocation
-// column is a correctness signal, not just a performance one:
-// steady-state simulation must stay at zero allocations in every mode.
-//
-// Speculative points also record the merge thread's busy share of
-// wall-clock. On few-core machines the speculation worker and the
-// merge thread timeshare one CPU, so raw events/s understates the
-// tier; merge-busy% is the honest signal — it says how much of the run
-// the merge thread actually had to work (verify, commit, re-execute)
-// rather than waiting on predictions, and it is what turns into
-// speedup the moment a second core exists.
+// Each snapshot runs the pooled simulator benchmark serially and at
+// intra-run sharding levels 2/4/8 through testing.Benchmark, recording
+// events/s, ns/op, and allocations per run. The allocation column is a
+// correctness signal, not just a performance one: steady-state
+// simulation must stay at zero allocations at every sharding level.
 package main
 
 import (
@@ -39,20 +29,11 @@ import (
 type point struct {
 	Name         string  `json:"name"`
 	Intra        int     `json:"intra"`
-	Spec         int     `json:"spec,omitempty"`
-	SpecChaos    int     `json:"spec_chaos,omitempty"`
 	Iterations   int     `json:"iterations"`
 	NsPerOp      int64   `json:"ns_per_op"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
-	// Speculative-mode telemetry (zero/absent for non-speculative
-	// points): cumulative rollbacks over the measured iterations,
-	// whether the adversarial fallback latched, and the merge thread's
-	// busy share of wall-clock.
-	Rollbacks    uint64  `json:"rollbacks,omitempty"`
-	Latched      bool    `json:"latched,omitempty"`
-	MergeBusyPct float64 `json:"merge_busy_pct,omitempty"`
 }
 
 // snapshot is the whole document: enough machine context to compare
@@ -98,72 +79,35 @@ func main() {
 		Events:    *events,
 	}
 
-	// The measured grid: the intra ladder, then the speculative tier —
-	// clean, composed with intra sharding, and the chaos-everywhere
-	// adversarial case, which rolls back until the fallback latches
-	// speculation off (its cost bounds the tier's worst case).
-	configs := []struct {
-		name        string
-		intra, spec int
-		chaos       int
-	}{
-		{"SimulatorThroughputPooled/intra-1", 1, 0, 0},
-		{"SimulatorThroughputPooled/intra-2", 2, 0, 0},
-		{"SimulatorThroughputPooled/intra-4", 4, 0, 0},
-		{"SimulatorThroughputPooled/intra-8", 8, 0, 0},
-		{"SimulatorSpeculative/on", 1, 2, 0},
-		{"SimulatorSpeculative/on-intra-4", 4, 2, 0},
-		{"SimulatorSpeculative/latched", 1, 2, 1},
-	}
-	for _, c := range configs {
+	for _, intra := range []int{1, 2, 4, 8} {
+		intra := intra
 		r := tifs.NewSimRunner()
 		cfg := tifs.SimConfig{
 			EventsPerCore:    *events,
 			Mechanism:        tifs.NextLineOnly(),
-			IntraParallelism: c.intra,
-			Speculative:      c.spec,
-			SpecChaos:        c.chaos,
+			IntraParallelism: intra,
 		}
 		r.Run(spec, tifs.ScaleSmall, cfg) // warm the pools
 		var total uint64
-		var specStats tifs.SpecStats
-		var rollbacks uint64
-		var busySeconds float64
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			total, rollbacks, busySeconds = 0, 0, 0
+			total = 0
 			for i := 0; i < b.N; i++ {
-				out := r.Run(spec, tifs.ScaleSmall, cfg)
-				total += out.TotalEvents
-				specStats = out.Spec
-				rollbacks += out.Spec.Rollbacks
-				busySeconds += r.SpecMergeBusy().Seconds()
+				total += r.Run(spec, tifs.ScaleSmall, cfg).TotalEvents
 			}
 		})
 		p := point{
-			Name:         c.name,
-			Intra:        c.intra,
-			Spec:         c.spec,
-			SpecChaos:    c.chaos,
+			Name:         fmt.Sprintf("SimulatorThroughputPooled/intra-%d", intra),
+			Intra:        intra,
 			Iterations:   res.N,
 			NsPerOp:      res.NsPerOp(),
 			EventsPerSec: float64(total) / res.T.Seconds(),
 			AllocsPerOp:  res.AllocsPerOp(),
 			BytesPerOp:   res.AllocedBytesPerOp(),
 		}
-		if c.spec >= 2 {
-			p.Rollbacks = rollbacks
-			p.Latched = specStats.Latched
-			p.MergeBusyPct = 100 * busySeconds / res.T.Seconds()
-		}
 		snap.Points = append(snap.Points, p)
-		fmt.Fprintf(os.Stderr, "%-40s %12.0f events/s  %8d ns/op  %d allocs/op",
+		fmt.Fprintf(os.Stderr, "%-40s %12.0f events/s  %8d ns/op  %d allocs/op\n",
 			p.Name, p.EventsPerSec, p.NsPerOp, p.AllocsPerOp)
-		if c.spec >= 2 {
-			fmt.Fprintf(os.Stderr, "  merge-busy %.1f%%  rollbacks %d latched=%v",
-				p.MergeBusyPct, p.Rollbacks, p.Latched)
-		}
-		fmt.Fprintln(os.Stderr)
 		r.Close()
 	}
 
