@@ -175,7 +175,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseTierWidth(*intra)
+	intraN, err := tifs.ParseIntraParallelism(*intra)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -225,42 +225,18 @@ func run() int {
 		return runMerge(ctx, *cacheDir, *remote, httpClient, ids, o)
 	}
 
-	switch {
-	case *remote != "":
-		rs := tifs.DialRemoteStoreContext(ctx, *remote, httpClient)
-		defer func() {
-			fmt.Fprintln(os.Stderr, rs.Stats())
-			if err := rs.Close(); err != nil {
-				// Undelivered write-backs are a warning, not a failure: the
-				// tables printed are correct, and a later run or merge just
-				// recomputes what never reached the server.
-				fmt.Fprintln(os.Stderr, "tifsbench:", err)
-			}
-		}()
-		o.Backend = rs
-	case *cacheDir != "":
-		st, err := tifs.OpenResultStore(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, st.Stats())
-			st.Close()
-		}()
-		o.Store = st
+	st, closeStore, err := openBackend(ctx, *cacheDir, *remote, httpClient)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
+	defer closeStore()
 
 	// An explicit engine (instead of the one the experiments package
 	// would build internally) so the run can account for its work:
 	// zero simulations and zero grammar builds on a warm store is the
 	// observable proof the persistence tiers answered everything.
-	var eng *tifs.SimEngine
-	if o.Backend != nil {
-		eng = tifs.NewSimEngineBackend(*parallel, o.Backend)
-	} else {
-		eng = tifs.NewSimEngine(*parallel, o.Store)
-	}
+	eng := tifs.NewSimEngine(*parallel, st)
 	if intraN > 1 {
 		eng.SetIntraParallelism(intraN)
 	}
@@ -271,11 +247,7 @@ func run() int {
 			eng.SimulationsRun(), eng.StoreHits(), eng.GrammarBuilds())
 	}()
 
-	if *experiment == "all" {
-		fmt.Print(tifs.RunAllExperiments(o))
-		return interrupted(ctx)
-	}
-	out, err := tifs.RunExperiment(*experiment, o)
+	out, err := tifs.RunExperiments(ids, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -284,26 +256,35 @@ func run() int {
 	return interrupted(ctx)
 }
 
-// parseTierWidth interprets the -intra flag syntax: "off" (and widths
-// 0/1) runs serially, "on" and "auto" size the tier to the machine
-// (runtime.NumCPU()), and a bare integer sets the width directly.
-// Negative widths are rejected with a clear error instead of silently
-// running serial.
-func parseTierWidth(val string) (int, error) {
-	switch val {
-	case "", "off":
-		return 0, nil
-	case "on", "auto":
-		return runtime.NumCPU(), nil
+// openBackend opens the store a run shares: the tifsserve client when
+// remote is set, the local store in cacheDir otherwise, or none (nil)
+// when both are empty. The returned close prints the store's stats to
+// stderr and closes it, which flushes a remote store's queued
+// write-backs.
+func openBackend(ctx context.Context, cacheDir, remote string, httpClient *http.Client) (tifs.StoreBackend, func(), error) {
+	switch {
+	case remote != "":
+		rs := tifs.DialRemoteStore(ctx, remote, httpClient)
+		return rs, func() {
+			fmt.Fprintln(os.Stderr, rs.Stats())
+			if err := rs.Close(); err != nil {
+				// Undelivered write-backs are a warning, not a failure: the
+				// output printed is correct, and a later run or merge just
+				// recomputes what never reached the server.
+				fmt.Fprintln(os.Stderr, "tifsbench:", err)
+			}
+		}, nil
+	case cacheDir != "":
+		st, err := tifs.OpenResultStore(cacheDir)
+		if err != nil {
+			return nil, nil, err
+		}
+		return st, func() {
+			fmt.Fprintln(os.Stderr, st.Stats())
+			st.Close()
+		}, nil
 	}
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
-	}
-	return n, nil
+	return nil, func() {}, nil
 }
 
 // interrupted converts a cancelled run context into the exit status: any
@@ -324,7 +305,6 @@ func interrupted(ctx context.Context) int {
 // stderr) rather than re-running it.
 func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []string, o tifs.ExperimentOptions) int {
 	c := tifs.DialJobService(url, httpClient)
-	c.Name = submitClientName()
 	req := tifs.JobRequest{
 		Experiments:      ids,
 		Workloads:        o.Workloads,
@@ -333,7 +313,7 @@ func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []s
 		Cores:            o.Cores,
 		IntraParallelism: o.IntraParallelism,
 	}
-	st, err := tifs.SubmitJob(ctx, c, req)
+	st, err := c.Submit(ctx, req)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "tifsbench: interrupted before the job was accepted")
@@ -347,7 +327,7 @@ func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []s
 	} else {
 		fmt.Fprintf(os.Stderr, "tifsbench: job %s accepted\n", st.ID)
 	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, func(ev tifs.JobEvent) {
+	final, err := c.Watch(ctx, st.ID, func(ev tifs.JobEvent) {
 		switch ev.Kind {
 		case "experiment-start":
 			fmt.Fprintf(os.Stderr, "tifsbench: job %s: experiment %s (sims so far: %d run, %d store hits)\n",
@@ -374,16 +354,6 @@ func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []s
 	return interrupted(ctx)
 }
 
-// submitClientName identifies this process for the service's per-client
-// fairness accounting.
-func submitClientName() string {
-	host, err := os.Hostname()
-	if err != nil {
-		host = "unknown-host"
-	}
-	return fmt.Sprintf("%s-%d", host, os.Getpid())
-}
-
 // runShardWorker executes one sweep worker: shard "i/N" pins a shard,
 // "auto/N" claims shards through the lease manifest until none remain.
 // Workers print per-shard reports to stderr and no tables at all — the
@@ -408,43 +378,27 @@ func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClie
 	fmt.Fprintf(os.Stderr, "sweep grid: %d simulations, %d trace extractions across %d shards\n",
 		len(grid.Jobs), len(grid.Traces), count)
 
-	if sel == "auto" {
-		var reports []tifs.ShardReport
-		var err error
-		if remote != "" {
-			reports, err = tifs.RemoteShardedSweepAuto(ctx, remote, httpClient, count, grid, o)
-		} else {
-			reports, err = tifs.ShardedSweepAuto(ctx, cacheDir, count, grid, o)
+	index := tifs.AutoShard
+	if sel != "auto" {
+		index, err = strconv.Atoi(sel)
+		if err != nil || index < 0 || index >= count {
+			fmt.Fprintf(os.Stderr, "bad -shard %q: index must be in [0,%d)\n", spec, count)
+			return 2
 		}
-		for _, rep := range reports {
-			fmt.Fprintln(os.Stderr, rep)
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "tifsbench: interrupted — lease released; stored results are kept, a fresh worker resumes where this one stopped")
-			return exitInterrupted
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "worker done: ran %d shard(s)\n", len(reports))
-		return 0
 	}
-	index, err := strconv.Atoi(sel)
-	if err != nil || index < 0 || index >= count {
-		fmt.Fprintf(os.Stderr, "bad -shard %q: index must be in [0,%d)\n", spec, count)
+	st, closeStore, err := openBackend(ctx, cacheDir, remote, httpClient)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	var rep tifs.ShardReport
-	if remote != "" {
-		rep, err = tifs.RemoteShardedSweep(ctx, remote, httpClient, index, count, grid, o)
-	} else {
-		rep, err = tifs.ShardedSweep(ctx, cacheDir, index, count, grid, o)
+	defer closeStore()
+	// On an interrupt the last report is partial: its counters say how far
+	// the shard got, and everything counted is already in the store.
+	reports, err := tifs.ShardedSweep(ctx, st, index, count, grid, o)
+	for _, rep := range reports {
+		fmt.Fprintln(os.Stderr, rep)
 	}
 	if ctx.Err() != nil {
-		// Partial report: the counters below say how far it got before
-		// the interrupt; everything counted is already in the store.
-		fmt.Fprintf(os.Stderr, "%s (interrupted)\n", rep)
 		fmt.Fprintln(os.Stderr, "tifsbench: interrupted — lease released; stored results are kept, a fresh worker resumes where this one stopped")
 		return exitInterrupted
 	}
@@ -452,7 +406,7 @@ func runShardWorker(ctx context.Context, spec, cacheDir, remote string, httpClie
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Fprintln(os.Stderr, rep)
+	fmt.Fprintf(os.Stderr, "worker done: ran %d shard(s)\n", len(reports))
 	return 0
 }
 
@@ -465,26 +419,12 @@ func runMerge(ctx context.Context, cacheDir, remote string, httpClient *http.Cli
 		fmt.Fprintln(os.Stderr, "-merge requires -cache-dir or -remote (the store the shard workers filled)")
 		return 2
 	}
-	var st tifs.StoreBackend
-	if remote != "" {
-		rs := tifs.DialRemoteStoreContext(ctx, remote, httpClient)
-		defer func() {
-			fmt.Fprintln(os.Stderr, rs.Stats())
-			rs.Close()
-		}()
-		st = rs
-	} else {
-		local, err := tifs.OpenResultStore(cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		defer func() {
-			fmt.Fprintln(os.Stderr, local.Stats())
-			local.Close()
-		}()
-		st = local
+	st, closeStore, err := openBackend(ctx, cacheDir, remote, httpClient)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
+	defer closeStore()
 	// Preflight coverage against the grid itself: the engine's counters
 	// alone would miss a re-run trace extraction.
 	grid, err := tifs.ExperimentGrid(ids, o)
@@ -493,20 +433,16 @@ func runMerge(ctx context.Context, cacheDir, remote string, httpClient *http.Cli
 		return 2
 	}
 	missingJobs, missingTraces := tifs.MissingFromStore(st, grid)
-	e := tifs.NewSimEngineBackend(o.Parallelism, st)
+	e := tifs.NewSimEngine(o.Parallelism, st)
 	o.Engine = e
 	defer e.Close()
 
-	if len(ids) == 0 {
-		fmt.Print(tifs.RunAllExperiments(o))
-	} else {
-		out, err := tifs.RunExperiment(ids[0], o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Print(out)
+	out, err := tifs.RunExperiments(ids, o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
+	fmt.Print(out)
 	if n := len(missingJobs) + len(missingTraces); n > 0 {
 		fmt.Fprintf(os.Stderr, "merge: %d simulations and %d trace extractions were missing from the store and were re-computed (did a shard worker die?)\n",
 			len(missingJobs), len(missingTraces))

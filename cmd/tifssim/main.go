@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"syscall"
 
 	"tifs"
@@ -97,7 +95,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := parseTierWidth(*intra)
+	intraN, err := tifs.ParseIntraParallelism(*intra)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -116,7 +114,7 @@ func run() int {
 	var st tifs.StoreBackend
 	switch {
 	case *remote != "":
-		rs := tifs.DialRemoteStoreContext(ctx, *remote, nil)
+		rs := tifs.DialRemoteStore(ctx, *remote, nil)
 		defer func() {
 			fmt.Fprintln(os.Stderr, rs.Stats())
 			rs.Close()
@@ -145,7 +143,7 @@ func run() int {
 			IntraParallelism: intraN,
 		}})
 	}
-	results := tifs.SimulateAllBackendContext(ctx, jobs, 0, st)
+	results := tifs.SimulateAll(ctx, jobs, 0, st)
 	if ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "tifssim: interrupted — no report (partial results, if any, were saved to the cache)")
 		return exitInterrupted
@@ -160,38 +158,11 @@ func run() int {
 	return 0
 }
 
-// parseTierWidth interprets the -intra flag syntax: "off" (and widths
-// 0/1) runs serially, "on" and "auto" size the tier to the machine
-// (runtime.NumCPU()), and a bare integer sets the width directly.
-// Negative widths are rejected with a clear error instead of silently
-// running serial.
-func parseTierWidth(val string) (int, error) {
-	switch val {
-	case "", "off":
-		return 0, nil
-	case "on", "auto":
-		return runtime.NumCPU(), nil
-	}
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
-	}
-	return n, nil
-}
-
 // runSubmit posts the simulation to a sweep service's job API and
 // prints the server-rendered report.
 func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores, intra int) int {
 	c := tifs.DialJobService(url, nil)
-	host, err := os.Hostname()
-	if err != nil {
-		host = "unknown-host"
-	}
-	c.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
+	st, err := c.Submit(ctx, tifs.JobRequest{
 		Workload: workload, Mechanism: mechanism, Baseline: baseline,
 		Scale: scale, Events: events, Cores: cores,
 		IntraParallelism: intra,
@@ -208,7 +179,7 @@ func runSubmit(ctx context.Context, url, workload, mechanism, scale string, base
 	} else {
 		fmt.Fprintf(os.Stderr, "tifssim: job %s accepted\n", st.ID)
 	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, nil)
+	final, err := c.Watch(ctx, st.ID, nil)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "tifssim: interrupted — the job keeps running server-side; resubmit the same flags to rejoin it")

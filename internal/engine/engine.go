@@ -16,7 +16,7 @@
 // Two tiers extend the memo beyond a single batch: workers draw pooled
 // sim.Runner machines, so repeated simulations reuse all machine state
 // and run allocation-free in steady state, and an optional persistent
-// store (SetStore) carries results and miss traces across processes, so
+// store (SetBackend) carries results and miss traces across processes, so
 // a repeated CLI invocation skips every grid point it has already
 // simulated.
 //
@@ -217,24 +217,19 @@ func (e *Engine) SimulationsRun() uint64 { return e.runs.Load() }
 // persistent store instead of simulating.
 func (e *Engine) StoreHits() uint64 { return e.storeHits.Load() }
 
-// SetStore attaches the on-disk result store as the second memo tier.
-// Attach it before submitting work; it must not change while jobs are in
-// flight. A nil store disables the tier.
-func (e *Engine) SetStore(s *store.Store) {
-	if s == nil {
+// SetBackend attaches a persistent store backend (the local store, the
+// remote client, a test double) as the second memo tier. Attach it
+// before submitting work; it must not change while jobs are in flight.
+// A nil backend disables the tier.
+func (e *Engine) SetBackend(b store.Backend) {
+	if s, ok := b.(*store.Store); ok && s == nil {
 		// Guard the typed-nil hazard: assigning (*store.Store)(nil) to the
 		// interface field would make every e.store != nil check pass and
 		// then panic inside the method calls.
-		e.store = nil
-		return
+		b = nil
 	}
-	e.store = s
+	e.store = b
 }
-
-// SetBackend attaches an arbitrary store backend (the remote client,
-// a test double) as the persistent memo tier. A nil backend disables
-// the tier.
-func (e *Engine) SetBackend(b store.Backend) { e.store = b }
 
 // runner borrows a pooled simulation machine.
 func (e *Engine) runner() *sim.Runner {

@@ -143,7 +143,7 @@ func TestStoreSecondTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	e1 := New(2)
-	e1.SetStore(st1)
+	e1.SetBackend(st1)
 	cold := e1.RunAll(context.Background(), jobs)
 	coldTraces := e1.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
 	if got := e1.SimulationsRun(); got != 3 {
@@ -160,7 +160,7 @@ func TestStoreSecondTier(t *testing.T) {
 	}
 	defer st2.Close()
 	e2 := New(2)
-	e2.SetStore(st2)
+	e2.SetBackend(st2)
 	warm := e2.RunAll(context.Background(), jobs)
 	warmTraces := e2.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
 	if got := e2.SimulationsRun(); got != 0 {

@@ -53,19 +53,15 @@ type Options struct {
 	// times intra-run concurrency does not oversubscribe the host.
 	IntraParallelism int
 	// Engine overrides the simulation scheduler (nil selects the
-	// process-wide engine when Parallelism is 0 and Store is nil, or a
+	// process-wide engine when Parallelism is 0 and Backend is nil, or a
 	// fresh engine otherwise). Supplying one engine across several
 	// experiment runs shares its memoized results between them.
 	Engine *engine.Engine
-	// Store attaches a persistent result store: simulations and miss
-	// traces already cached there are not re-run, and new ones are
-	// written back, so repeated invocations share work across processes.
-	// Results are byte-identical with or without it. Ignored when Engine
-	// is set (configure the engine directly instead).
-	Store *store.Store
-	// Backend attaches a result-store backend by interface — e.g. a
-	// remote store client — instead of a local Store. Takes precedence
-	// over Store; ignored when Engine is set. The backend's one-way
+	// Backend attaches a persistent result store — the local store or a
+	// remote client: simulations and miss traces already cached there
+	// are not re-run, and new ones are written back, so repeated
+	// invocations share work across processes. Ignored when Engine is
+	// set (configure the engine directly instead). The backend's one-way
 	// defensiveness keeps output byte-identical whether it hits, misses,
 	// or degrades.
 	Backend store.Backend
@@ -91,16 +87,12 @@ func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Store != nil || o.Backend != nil {
+	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Backend != nil {
 		e := engine.New(o.Parallelism)
 		if o.IntraParallelism > 1 {
 			e.SetIntraParallelism(o.IntraParallelism)
 		}
-		if o.Backend != nil {
-			e.SetBackend(o.Backend)
-		} else {
-			e.SetStore(o.Store)
-		}
+		e.SetBackend(o.Backend)
 		return e
 	}
 	return engine.Default()

@@ -34,7 +34,7 @@ func TestFaultGoldenBytesUnderTransientStoreFaults(t *testing.T) {
 	}
 
 	e := engine.New(8)
-	e.SetStore(st)
+	e.SetBackend(st)
 	for _, r := range Registry()[:3] {
 		want := readGolden(t, r.ID)
 		if got := r.Run(goldenOptions(8, e)); got != want {

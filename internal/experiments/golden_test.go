@@ -119,7 +119,7 @@ func TestGoldenShardedMerge(t *testing.T) {
 		t.Skip("regenerating goldens")
 	}
 	// The expected "all" output is the goldens assembled in registry
-	// order, exactly as RunAll frames them.
+	// order, exactly as RunSelected frames them.
 	var wantAll strings.Builder
 	for _, r := range Registry() {
 		fmt.Fprintf(&wantAll, "== %s: %s\n\n", r.ID, r.Description)
@@ -185,8 +185,11 @@ func TestGoldenShardedMerge(t *testing.T) {
 			}
 			defer st.Close()
 			e := engine.New(8)
-			e.SetStore(st)
-			got := RunAll(goldenOptions(8, e))
+			e.SetBackend(st)
+			got, err := RunSelected(nil, goldenOptions(8, e), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if sims := e.SimulationsRun(); sims != 0 {
 				t.Errorf("merge pass re-simulated %d grid points; store coverage incomplete", sims)
 			}

@@ -16,6 +16,7 @@ import (
 
 	"tifs/internal/retry"
 	"tifs/internal/sequitur"
+	"tifs/internal/shard"
 	"tifs/internal/sim"
 	"tifs/internal/store"
 	"tifs/internal/trace"
@@ -156,18 +157,12 @@ func (s Stats) String() string {
 
 // NewClient connects to a tifsserve base URL ("http://host:9441").
 // httpClient may be nil (http.DefaultClient); tests inject a
-// netfault-wrapped transport through it.
-func NewClient(base string, httpClient *http.Client) *Client {
-	return NewClientContext(context.Background(), base, httpClient)
-}
-
-// NewClientContext is NewClient with a base context bounding every
-// operation the client performs, including retry backoff waits and
-// recovery flushes. Cancel it to make an in-flight retry schedule
-// against a dead server return promptly (graceful shutdown); operations
-// after cancellation degrade to misses and queued write-backs exactly
-// like an outage.
-func NewClientContext(ctx context.Context, base string, httpClient *http.Client) *Client {
+// netfault-wrapped transport through it. ctx bounds every operation the
+// client performs, including retry backoff waits and recovery flushes:
+// cancel it to make an in-flight retry schedule against a dead server
+// return promptly (graceful shutdown); operations after cancellation
+// degrade to misses and queued write-backs exactly like an outage.
+func NewClient(ctx context.Context, base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
@@ -187,6 +182,11 @@ func NewClientContext(ctx context.Context, base string, httpClient *http.Client)
 }
 
 var _ store.Backend = (*Client)(nil)
+
+// Manifest returns a lease-manifest client on the same base URL and
+// http.Client, so fault injection and connection pools see blob and
+// manifest traffic on one transport.
+func (c *Client) Manifest() shard.ManifestBackend { return NewManifestClient(c.base, c.http) }
 
 // Ping verifies the server is reachable and speaks our store format.
 func (c *Client) Ping(ctx context.Context) error {

@@ -249,6 +249,10 @@ func (s *Store) readFileRetry(path string) (data []byte, err error) {
 	return data, err
 }
 
+// Dir returns the directory the store was opened in — where a sharded
+// sweep keeps its lease manifest.
+func (s *Store) Dir() string { return filepath.Dir(s.path) }
+
 // Path returns the primary log file location.
 func (s *Store) Path() string { return s.path }
 

@@ -13,7 +13,14 @@
 //     next-line baseline, FDIP, the TIFS variants, and bounds
 //     (Simulate, mechanism constructors);
 //   - every evaluation experiment as a named runner
-//     (Experiments, RunExperiment).
+//     (Experiments, RunExperiments);
+//   - persistence and distribution over one store handle, StoreBackend:
+//     a local directory (OpenResultStore) or a tifsserve URL
+//     (DialRemoteStore), attached to batches (SimulateAll), engines
+//     (NewSimEngine), experiment runs (ExperimentOptions.Backend), and
+//     sharded sweeps (ShardedSweep);
+//   - the sweep service and its job client (NewSweepService,
+//     DialJobService).
 //
 // See examples/quickstart for a three-call tour, and DESIGN.md for the
 // system inventory and the substitutions made for the paper's
@@ -25,6 +32,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
+	"strconv"
 
 	"tifs/internal/analysis"
 	"tifs/internal/core"
@@ -73,6 +82,28 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 
 // ParseScale converts "small", "medium", or "full".
 func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
+
+// ParseIntraParallelism interprets the CLIs' -intra flag syntax: "off"
+// (and widths 0/1) runs serially, "on" and "auto" size the tier to the
+// machine (runtime.NumCPU()), and a bare integer sets the width
+// directly. Negative widths are rejected with a clear error instead of
+// silently running serial.
+func ParseIntraParallelism(val string) (int, error) {
+	switch val {
+	case "", "off":
+		return 0, nil
+	case "on", "auto":
+		return runtime.NumCPU(), nil
+	}
+	n, err := strconv.Atoi(val)
+	if err != nil {
+		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
+	}
+	return n, nil
+}
 
 // BuildWorkload instantiates a workload for the given core count.
 func BuildWorkload(spec WorkloadSpec, scale Scale, cores int) *Workload {
@@ -174,9 +205,16 @@ type SimJob = engine.Job
 // SimulateAll runs a batch of simulations concurrently across at most
 // parallelism goroutines (0 = GOMAXPROCS) and returns the results in job
 // order. Duplicate jobs are simulated once and share their result;
-// output is identical to running each job serially.
-func SimulateAll(jobs []SimJob, parallelism int) []SimResult {
-	return engine.New(parallelism).RunAll(context.Background(), jobs)
+// output is identical to running each job serially. st, when non-nil,
+// is the persistent tier — local or remote — that already-simulated jobs
+// load from and new results are written to; results are byte-identical
+// whichever backend is attached, and whether it hits, misses, or
+// degrades. Cancelling ctx stops scheduling new simulations, unblocks
+// waiters, and leaves unfinished slots as zero Results (treat the batch
+// as invalid once ctx is cancelled); everything simulated before the
+// cancellation is already written to the store.
+func SimulateAll(ctx context.Context, jobs []SimJob, parallelism int, st StoreBackend) []SimResult {
+	return NewSimEngine(parallelism, st).RunAll(ctx, jobs)
 }
 
 // ResultStore is a persistent, content-addressed cache of simulation
@@ -187,39 +225,11 @@ type ResultStore = store.Store
 type ResultStoreStats = store.Stats
 
 // OpenResultStore opens (creating if needed) a result store rooted at
-// dir. Attach it to ExperimentOptions.Store or SimulateAllStored to skip
+// dir. Attach it to ExperimentOptions.Backend or SimulateAll to skip
 // already-simulated grid points across CLI invocations. Stores written
 // by an incompatible format version are discarded on open; corrupt or
 // truncated entries fall back to simulation, never to wrong results.
 func OpenResultStore(dir string) (*ResultStore, error) { return store.Open(dir) }
-
-// SimulateAllStored is SimulateAll backed by a persistent result store
-// (nil behaves exactly like SimulateAll). Results are byte-identical
-// with or without the store.
-func SimulateAllStored(jobs []SimJob, parallelism int, st *ResultStore) []SimResult {
-	return SimulateAllStoredContext(context.Background(), jobs, parallelism, st)
-}
-
-// SimulateAllStoredContext is SimulateAllStored bounded by a context:
-// cancellation stops scheduling new simulations, unblocks waiters, and
-// leaves unfinished slots as zero Results (treat the batch as invalid
-// once ctx is cancelled). Everything simulated before the cancellation
-// is already written to the store.
-func SimulateAllStoredContext(ctx context.Context, jobs []SimJob, parallelism int, st *ResultStore) []SimResult {
-	e := engine.New(parallelism)
-	e.SetStore(st)
-	return e.RunAll(ctx, jobs)
-}
-
-// SimulateAllBackendContext is SimulateAllStoredContext over any store
-// backend — local, remote, or nil (no persistence). Results remain
-// byte-identical whichever backend is attached, and whether it hits,
-// misses, or degrades.
-func SimulateAllBackendContext(ctx context.Context, jobs []SimJob, parallelism int, st StoreBackend) []SimResult {
-	e := engine.New(parallelism)
-	e.SetBackend(st)
-	return e.RunAll(ctx, jobs)
-}
 
 // StoreCompaction reports what a result-store GC pass reclaimed.
 type StoreCompaction = store.CompactStats
@@ -256,93 +266,110 @@ func ExperimentGrid(ids []string, o ExperimentOptions) (SweepGrid, error) {
 // sweep.
 type ShardReport = shard.Report
 
+// AutoShard is the ShardedSweep index that claims shards through the
+// lease manifest until none remain.
+const AutoShard = -1
+
 // ShardedSweep runs shard index of count over the grid, as one worker of
-// a multi-process (or multi-machine, via a shared filesystem) sweep
-// rooted at the store directory dir. The grid partitions by the SHA-256
-// of each grid point's canonical key, so all workers agree on ownership
-// without talking to each other; the lease manifest in dir additionally
-// records the claim so peers can detect and take over a dead worker's
-// shard. Grid points already present in the store are skipped. After
-// every shard completes, a merge pass — any normal experiment run with
-// the store attached, e.g. tifsbench -merge — assembles output
+// a multi-process or multi-machine sweep sharing the store st. With
+// index == AutoShard the worker instead claims unclaimed (or expired)
+// shards one after another until none remain, so N such workers run a
+// whole sweep with no manual shard numbering. The grid partitions by
+// the SHA-256 of each grid point's canonical key, so all workers agree
+// on ownership without talking to each other; a lease manifest beside
+// the store records each claim so peers can detect and take over a dead
+// worker's shard. Grid points already present in the store are skipped.
+// After every shard completes, a merge pass — any normal experiment run
+// with the store attached, e.g. tifsbench -merge — assembles output
 // byte-identical to a single-process run from store hits alone.
 //
-// Cancelling ctx aborts the shard at the next batch boundary: the lease
-// is released (so a fresh worker can claim the shard immediately rather
-// than waiting out the TTL), everything simulated so far stays in the
-// store, and the partial report returns alongside ctx's error.
-func ShardedSweep(ctx context.Context, dir string, index, count int, g SweepGrid, o ExperimentOptions) (ShardReport, error) {
-	st, err := store.Open(dir)
+// The manifest follows the store: a *ResultStore keeps it in its
+// directory (share the directory, e.g. on a shared filesystem); a
+// *RemoteStore keeps it on the tifsserve behind the same URL and
+// http.Client, updated by compare-and-swap, so workers on different
+// machines need share nothing but the URL. Store operations degrade
+// under server outages (compute locally, queue write-backs, reconcile on
+// recovery); lease coordination deliberately does not — an outage longer
+// than the lease TTL surfaces as a lost lease, exactly as it must. Any
+// other backend is an error. The caller owns st and closes it; closing a
+// remote store flushes its queued write-backs.
+//
+// It returns a report per shard run. Cancelling ctx aborts the current
+// shard at the next batch boundary: the lease is released (so a fresh
+// worker can claim the shard immediately rather than waiting out the
+// TTL), everything simulated so far stays in the store, and the
+// shard's partial report returns alongside the error.
+func ShardedSweep(ctx context.Context, st StoreBackend, index, count int, g SweepGrid, o ExperimentOptions) ([]ShardReport, error) {
+	c, err := sweepCoordinator(st, g, count)
 	if err != nil {
-		return ShardReport{}, fmt.Errorf("tifs: %w", err)
+		return nil, err
 	}
-	defer st.Close()
-	return sweepShard(ctx, shard.NewCoordinator(dir, g, count), st, g, index, count, o)
-}
-
-// sweepShard claims, runs, and settles one shard against any coordinator
-// backend (local flock manifest or remote CAS manifest) and any store
-// backend (local directory or remote client).
-func sweepShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, o ExperimentOptions) (ShardReport, error) {
 	owner := sweepOwner()
-	if err := c.Claim(index, owner); err != nil {
-		return ShardReport{}, fmt.Errorf("tifs: %w", err)
+	var reports []ShardReport
+	for {
+		i := index
+		if index == AutoShard {
+			if err := ctx.Err(); err != nil {
+				return reports, err
+			}
+			var ok bool
+			if i, ok, err = c.ClaimAny(owner); err != nil {
+				return reports, fmt.Errorf("tifs: %w", err)
+			} else if !ok {
+				return reports, nil
+			}
+		} else if err := c.Claim(index, owner); err != nil {
+			return reports, fmt.Errorf("tifs: %w", err)
+		}
+		rep, err := shard.Run(ctx, st, g, i, count, o.Parallelism, func() error {
+			return c.Renew(i, owner)
+		}, c.RenewInterval(), c.TTL)
+		reports = append(reports, rep)
+		if err != nil {
+			// Hand the shard back — unless the run died because the lease
+			// was (or is presumed) lost, in which case a successor may
+			// already own it and a release would clobber the takeover; the
+			// no-op lets the old claim expire on its TTL instead.
+			// Best-effort either way.
+			c.ReleaseAfter(err, i, owner)
+			return reports, fmt.Errorf("tifs: %w", err)
+		}
+		if err := c.Complete(i); err != nil {
+			return reports, fmt.Errorf("tifs: %w", err)
+		}
+		if index != AutoShard {
+			return reports, nil
+		}
 	}
-	rep, err := runShard(ctx, c, st, g, index, count, owner, o)
-	if err != nil {
-		// Hand the shard back — unless the run died because the lease was
-		// (or is presumed) lost, in which case a successor may already own
-		// it and a release would clobber the takeover; the no-op lets the
-		// old claim expire on its TTL instead. Best-effort either way.
-		c.ReleaseAfter(err, index, owner)
-		return rep, err
-	}
-	if err := c.Complete(index); err != nil {
-		return rep, fmt.Errorf("tifs: %w", err)
-	}
-	return rep, nil
 }
 
-// ShardedSweepAuto is ShardedSweep with lease-based self-assignment: the
-// worker claims unclaimed (or expired) shards one after another until
-// none remain, returning a report per shard it ran. Launch N such
-// workers against one dir to run a whole sweep with no manual shard
-// numbering.
+// sweepCoordinator places a sweep's lease manifest beside its store: a
+// file manifest in a local store's directory, or the manifest endpoint
+// of a remote store's server. The remote store is matched by its method,
+// not its type, so programs that only sweep local stores do not link
+// its HTTP client.
+func sweepCoordinator(st StoreBackend, g SweepGrid, count int) (*shard.Coordinator, error) {
+	switch st := st.(type) {
+	case *ResultStore:
+		return shard.NewCoordinator(st.Dir(), g, count), nil
+	case interface{ Manifest() shard.ManifestBackend }:
+		return shard.NewCoordinatorBackend(st.Manifest(), g, count), nil
+	}
+	return nil, fmt.Errorf("tifs: a sharded sweep needs a local or remote result store, not %T", st)
+}
+
+// ShardedSweepAuto opens the store in dir and runs ShardedSweep over it
+// with AutoShard.
+//
+// Deprecated: open the store with OpenResultStore and call ShardedSweep
+// with AutoShard.
 func ShardedSweepAuto(ctx context.Context, dir string, count int, g SweepGrid, o ExperimentOptions) ([]ShardReport, error) {
 	st, err := store.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("tifs: %w", err)
 	}
 	defer st.Close()
-	return sweepAuto(ctx, shard.NewCoordinator(dir, g, count), st, g, count, o)
-}
-
-// sweepAuto is the self-assigning claim loop over any coordinator and
-// store backend pair.
-func sweepAuto(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, count int, o ExperimentOptions) ([]ShardReport, error) {
-	owner := sweepOwner()
-	var reports []ShardReport
-	for {
-		if err := ctx.Err(); err != nil {
-			return reports, err
-		}
-		index, ok, err := c.ClaimAny(owner)
-		if err != nil {
-			return reports, fmt.Errorf("tifs: %w", err)
-		}
-		if !ok {
-			return reports, nil
-		}
-		rep, err := runShard(ctx, c, st, g, index, count, owner, o)
-		if err != nil {
-			c.ReleaseAfter(err, index, owner)
-			return reports, err
-		}
-		reports = append(reports, rep)
-		if err := c.Complete(index); err != nil {
-			return reports, fmt.Errorf("tifs: %w", err)
-		}
-	}
+	return ShardedSweep(ctx, st, AutoShard, count, g, o)
 }
 
 // MissingFromStore reports the grid points absent from a store backend
@@ -352,19 +379,8 @@ func MissingFromStore(st StoreBackend, g SweepGrid) (jobs []SimJob, traces []Tra
 	return shard.Missing(st, g)
 }
 
-// runShard executes one shard against an open store backend under a live
-// lease.
-func runShard(ctx context.Context, c *shard.Coordinator, st StoreBackend, g SweepGrid, index, count int, owner string, o ExperimentOptions) (ShardReport, error) {
-	rep, err := shard.Run(ctx, st, g, index, count, o.Parallelism, func() error {
-		return c.Renew(index, owner)
-	}, c.RenewInterval(), c.TTL)
-	if err != nil {
-		return rep, fmt.Errorf("tifs: %w", err)
-	}
-	return rep, nil
-}
-
-// sweepOwner identifies this worker in lease files.
+// sweepOwner identifies this process in lease files and to the sweep
+// service's per-client fairness accounting.
 func sweepOwner() string {
 	host, err := os.Hostname()
 	if err != nil {
@@ -396,54 +412,22 @@ type RemoteStoreStats = remotestore.Stats
 // DialRemoteStore connects to a tifsserve base URL (e.g.
 // "http://host:8419"). httpClient nil uses http.DefaultClient; pass a
 // custom client to set transport options or inject faults
-// (NetFaultTransport). Dialing performs no I/O — a dead server surfaces
-// as degraded operation, not a constructor error; use Ping to probe.
-// Close the client to flush queued write-backs.
-func DialRemoteStore(base string, httpClient *http.Client) *RemoteStore {
-	return remotestore.NewClient(base, httpClient)
+// (NetFaultTransport). Every store operation (including retry backoff
+// sleeps and queued write-back flushes) aborts promptly when ctx is
+// cancelled, so an interrupted worker stops waiting on a dead server
+// instead of riding out its backoff schedule. Dialing performs no I/O —
+// a dead server surfaces as degraded operation, not a constructor
+// error; use Ping to probe. Close the client to flush queued
+// write-backs.
+func DialRemoteStore(ctx context.Context, base string, httpClient *http.Client) *RemoteStore {
+	return remotestore.NewClient(ctx, base, httpClient)
 }
 
-// DialRemoteStoreContext is DialRemoteStore with a base context: every
-// store operation (including retry backoff sleeps and queued write-back
-// flushes) aborts promptly when ctx is cancelled, so an interrupted
-// worker stops waiting on a dead server instead of riding out its
-// backoff schedule.
-func DialRemoteStoreContext(ctx context.Context, base string, httpClient *http.Client) *RemoteStore {
-	return remotestore.NewClientContext(ctx, base, httpClient)
-}
-
-// NewSimEngineBackend is NewSimEngine backed by a store backend (local
-// or remote) instead of a local store handle.
-func NewSimEngineBackend(parallelism int, st StoreBackend) *SimEngine {
-	e := engine.New(parallelism)
-	e.SetBackend(st)
-	return e
-}
-
-// RemoteShardedSweep is ShardedSweep coordinated through a tifsserve
-// URL instead of a shared store directory: blobs travel over the remote
-// store client and the lease manifest lives on the server, updated by
-// compare-and-swap, so workers on different machines need share nothing
-// but the URL. Results merge byte-identical to a local or storeless run.
+// NewSimEngineBackend is NewSimEngine.
 //
-// Store operations degrade under server outages (compute locally, queue
-// write-backs, reconcile on recovery); lease coordination deliberately
-// does not — an outage longer than the lease TTL surfaces as a lost
-// lease, exactly as it must.
-func RemoteShardedSweep(ctx context.Context, url string, httpClient *http.Client, index, count int, g SweepGrid, o ExperimentOptions) (ShardReport, error) {
-	client := remotestore.NewClientContext(ctx, url, httpClient)
-	defer client.Close()
-	c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(url, httpClient), g, count)
-	return sweepShard(ctx, c, client, g, index, count, o)
-}
-
-// RemoteShardedSweepAuto is ShardedSweepAuto against a tifsserve URL:
-// lease-based self-assignment with no shared filesystem.
-func RemoteShardedSweepAuto(ctx context.Context, url string, httpClient *http.Client, count int, g SweepGrid, o ExperimentOptions) ([]ShardReport, error) {
-	client := remotestore.NewClientContext(ctx, url, httpClient)
-	defer client.Close()
-	c := shard.NewCoordinatorBackend(remotestore.NewManifestClient(url, httpClient), g, count)
-	return sweepAuto(ctx, c, client, g, count, o)
+// Deprecated: use NewSimEngine, which takes any store backend.
+func NewSimEngineBackend(parallelism int, st StoreBackend) *SimEngine {
+	return NewSimEngine(parallelism, st)
 }
 
 // NetFaultTransport builds a deterministic fault-injecting HTTP
@@ -472,10 +456,11 @@ type SimEngine = engine.Engine
 
 // NewSimEngine creates an engine running at most parallelism
 // simulations at once (0 = GOMAXPROCS), optionally backed by a
-// persistent result store (nil = in-process memo only).
-func NewSimEngine(parallelism int, st *ResultStore) *SimEngine {
+// persistent store backend, local or remote (nil, including a nil
+// *ResultStore, = in-process memo only).
+func NewSimEngine(parallelism int, st StoreBackend) *SimEngine {
 	e := engine.New(parallelism)
-	e.SetStore(st)
+	e.SetBackend(st)
 	return e
 }
 
@@ -491,26 +476,13 @@ type Experiment = experiments.Runner
 // Experiments lists every reproducible table/figure and ablation.
 func Experiments() []Experiment { return experiments.Registry() }
 
-// RunExperiment executes one experiment by ID ("fig1", "fig3", "fig5",
-// "fig6", "fig10", "fig11", "fig12", "fig13", "table1", "table2",
-// "ablation-svb", "ablation-eos", "ablation-drops") and returns its
-// rendered table.
-func RunExperiment(id string, o ExperimentOptions) (string, error) {
-	r, ok := experiments.ByID(id)
-	if !ok {
-		return "", fmt.Errorf("tifs: unknown experiment %q (have %v)", id, experiments.IDs())
-	}
-	return r.Run(o), nil
-}
-
-// RunAllExperiments executes the full registry in paper order.
-func RunAllExperiments(o ExperimentOptions) string { return experiments.RunAll(o) }
-
-// RunExperiments executes the named experiments (all of them when ids
-// is empty) sharing one engine, so simulations common to several
-// figures run once. One id renders that experiment's bare output
-// (byte-identical to RunExperiment); several render the sectioned
-// concatenation RunAllExperiments produces.
+// RunExperiments executes the named experiments (all of them, in paper
+// order, when ids is empty) sharing one engine, so simulations common to
+// several figures run once. IDs are "fig1", "fig3", "fig5", "fig6",
+// "fig10", "fig11", "fig12", "fig13", "table1", "table2",
+// "ablation-svb", "ablation-eos", and "ablation-drops"; an unknown one
+// fails before anything runs. One id renders that experiment's bare
+// table; several render a "== id: description" sectioned concatenation.
 func RunExperiments(ids []string, o ExperimentOptions) (string, error) {
 	out, err := experiments.RunSelected(ids, o, nil)
 	if err != nil {
@@ -585,22 +557,15 @@ const (
 // with its Register method and stop it with Close.
 func NewSweepService(cfg SweepServiceConfig) *SweepService { return sweepd.New(cfg) }
 
-// DialJobService makes a job client for a tifsserve base URL. nil
-// httpClient uses http.DefaultClient; pass a custom client to inject
-// faults (NetFaultTransport) or set transport options.
+// DialJobService makes a job client for a tifsserve base URL, named
+// after this host and process for the service's per-client fairness
+// accounting. nil httpClient uses http.DefaultClient; pass a custom
+// client to inject faults (NetFaultTransport) or set transport options.
+// Submit posts a job; Watch streams its progress events until it
+// completes and returns its final status — including the full rendered
+// output, byte-identical to the equivalent local run.
 func DialJobService(base string, httpClient *http.Client) *JobClient {
-	return sweepd.NewClient(base, httpClient)
-}
-
-// SubmitJob submits a request to a sweep service and returns the
-// (possibly deduplicated) job status without waiting for completion.
-func SubmitJob(ctx context.Context, c *JobClient, req JobRequest) (JobStatus, error) {
-	return c.Submit(ctx, req)
-}
-
-// WatchJob streams a job's progress events (nil onEvent discards them)
-// until it completes, then returns its final status — including the
-// full rendered output, byte-identical to the equivalent local run.
-func WatchJob(ctx context.Context, c *JobClient, id string, onEvent func(JobEvent)) (JobStatus, error) {
-	return c.Watch(ctx, id, onEvent)
+	c := sweepd.NewClient(base, httpClient)
+	c.Name = sweepOwner()
+	return c
 }

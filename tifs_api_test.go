@@ -2,7 +2,9 @@ package tifs_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"tifs"
@@ -56,26 +58,121 @@ func TestSimulateAPI(t *testing.T) {
 	}
 }
 
+func TestParseIntraParallelism(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    int
+		wantErr string
+	}{
+		{in: "", want: 0},
+		{in: "off", want: 0},
+		{in: "on", want: runtime.NumCPU()},
+		{in: "auto", want: runtime.NumCPU()},
+		{in: "0", want: 0},
+		{in: "1", want: 1},
+		{in: "8", want: 8},
+		{in: "-1", wantErr: "bad -intra -1: width must be non-negative"},
+		{in: "x", wantErr: `bad -intra "x": want off|on|auto or a non-negative integer`},
+	} {
+		got, err := tifs.ParseIntraParallelism(tc.in)
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("ParseIntraParallelism(%q) error = %v, want %q", tc.in, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseIntraParallelism(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestExperimentRegistryAPI(t *testing.T) {
 	if len(tifs.Experiments()) < 13 {
 		t.Errorf("registry has %d entries", len(tifs.Experiments()))
 	}
-	out, err := tifs.RunExperiment("table2", tifs.ExperimentOptions{Scale: tifs.ScaleSmall})
+	out, err := tifs.RunExperiments([]string{"table2"}, tifs.ExperimentOptions{Scale: tifs.ScaleSmall})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "8MB 16-way") {
 		t.Errorf("table2 output missing L2 row:\n%s", out)
 	}
-	if _, err := tifs.RunExperiment("fig99", tifs.ExperimentOptions{}); err == nil {
+	if _, err := tifs.RunExperiments([]string{"fig99"}, tifs.ExperimentOptions{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
+}
+
+// sweepBackend is a store handle a sweep test owns and closes.
+type sweepBackend interface {
+	tifs.StoreBackend
+	Close() error
+}
+
+// sweepAuto runs two concurrent ShardedSweep(AutoShard) workers, each on
+// its own store handle from open (closed when its worker returns), and
+// checks that together they ran every shard exactly once, covering the
+// whole grid.
+func sweepAuto(t *testing.T, open func() sweepBackend, count int, grid tifs.SweepGrid, o tifs.ExperimentOptions) {
+	t.Helper()
+	var wg sync.WaitGroup
+	reports := make([][]tifs.ShardReport, 2)
+	errs := make([]error, len(reports))
+	for w := range reports {
+		st := open()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer st.Close()
+			reports[w], errs[w] = tifs.ShardedSweep(context.Background(), st, tifs.AutoShard, count, grid, o)
+		}()
+	}
+	wg.Wait()
+	ran := map[int]int{}
+	var total int
+	for w := range reports {
+		if errs[w] != nil {
+			t.Fatalf("auto worker %d: %v", w, errs[w])
+		}
+		for _, rep := range reports[w] {
+			ran[rep.Index]++
+			total += rep.Jobs + rep.Traces
+		}
+	}
+	for i := 0; i < count; i++ {
+		if ran[i] != 1 {
+			t.Errorf("auto workers ran shard %d %d times, want once", i, ran[i])
+		}
+	}
+	if total != len(grid.Jobs)+len(grid.Traces) {
+		t.Errorf("auto workers covered %d of %d grid points", total, len(grid.Jobs)+len(grid.Traces))
+	}
+}
+
+// mergeFig13 renders fig13 over a filled store with a fresh engine and
+// checks that nothing was re-simulated.
+func mergeFig13(t *testing.T, st tifs.StoreBackend, grid tifs.SweepGrid, o tifs.ExperimentOptions) string {
+	t.Helper()
+	if jobs, traces := tifs.MissingFromStore(st, grid); len(jobs)+len(traces) != 0 {
+		t.Fatalf("store missing %d jobs, %d traces after the sweep", len(jobs), len(traces))
+	}
+	e := tifs.NewSimEngine(0, st)
+	o.Engine = e
+	merged, err := tifs.RunExperiments([]string{"fig13"}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.SimulationsRun(); n != 0 {
+		t.Errorf("merge re-simulated %d grid points", n)
+	}
+	return merged
 }
 
 // TestShardedSweepAPI drives the public sharding surface end to end:
 // enumerate a grid, run both workers of a 2-shard sweep into one store
 // directory, and verify a merge renders the same bytes as a direct run
-// with zero re-simulation.
+// with zero re-simulation. A second leg does the same with two
+// concurrent self-assigning workers on a fresh directory.
 func TestShardedSweepAPI(t *testing.T) {
 	dir := t.TempDir()
 	o := tifs.ExperimentOptions{
@@ -93,17 +190,8 @@ func TestShardedSweepAPI(t *testing.T) {
 	if _, err := tifs.ExperimentGrid([]string{"fig99"}, o); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
-
-	var total int
-	for index := 0; index < 2; index++ {
-		rep, err := tifs.ShardedSweep(context.Background(), dir, index, 2, grid, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += rep.Jobs + rep.Traces
-	}
-	if total != len(grid.Jobs)+len(grid.Traces) {
-		t.Errorf("shards covered %d of %d grid points", total, len(grid.Jobs)+len(grid.Traces))
+	if _, err := tifs.ShardedSweep(context.Background(), nil, 0, 2, grid, o); err == nil {
+		t.Error("sweep without a store accepted")
 	}
 
 	st, err := tifs.OpenResultStore(dir)
@@ -111,33 +199,62 @@ func TestShardedSweepAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if jobs, traces := tifs.MissingFromStore(st, grid); len(jobs)+len(traces) != 0 {
-		t.Fatalf("store missing %d jobs, %d traces after both shards ran", len(jobs), len(traces))
+	var total int
+	for index := 0; index < 2; index++ {
+		reports, err := tifs.ShardedSweep(context.Background(), st, index, 2, grid, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 1 || reports[0].Index != index {
+			t.Fatalf("pinned shard %d returned reports %v", index, reports)
+		}
+		total += reports[0].Jobs + reports[0].Traces
 	}
-	e := tifs.NewSimEngine(0, st)
-	o.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o)
-	if err != nil {
-		t.Fatal(err)
+	if total != len(grid.Jobs)+len(grid.Traces) {
+		t.Errorf("shards covered %d of %d grid points", total, len(grid.Jobs)+len(grid.Traces))
 	}
-	if n := e.SimulationsRun(); n != 0 {
-		t.Errorf("merge re-simulated %d grid points", n)
-	}
-	direct, err := tifs.RunExperiment("fig13", tifs.ExperimentOptions{
+	merged := mergeFig13(t, st, grid, o)
+
+	// The direct run's engine gets a nil *ResultStore: that means no
+	// store, not a typed-nil backend that panics on first use.
+	storeless := tifs.NewSimEngine(0, (*tifs.ResultStore)(nil))
+	direct, err := tifs.RunExperiments([]string{"fig13"}, tifs.ExperimentOptions{
 		Scale:     tifs.ScaleSmall,
 		Events:    3_000,
 		Workloads: []string{"OLTP-DB2"},
+		Engine:    storeless,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if storeless.SimulationsRun() == 0 || storeless.StoreHits() != 0 {
+		t.Errorf("nil-store engine: %d simulations, %d store hits; want >0 and 0",
+			storeless.SimulationsRun(), storeless.StoreHits())
+	}
 	if merged != direct {
 		t.Errorf("merged output differs from direct run:\n--- merged\n%s\n--- direct\n%s", merged, direct)
+	}
+
+	autoDir := t.TempDir()
+	sweepAuto(t, func() sweepBackend {
+		st, err := tifs.OpenResultStore(autoDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}, 4, grid, o)
+	autoStore, err := tifs.OpenResultStore(autoDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer autoStore.Close()
+	if merged := mergeFig13(t, autoStore, grid, o); merged != direct {
+		t.Errorf("auto-claim merge differs from direct run:\n--- merged\n%s\n--- direct\n%s", merged, direct)
 	}
 }
 
 func TestExperimentSingleWorkload(t *testing.T) {
-	out, err := tifs.RunExperiment("fig6", tifs.ExperimentOptions{
+	out, err := tifs.RunExperiments([]string{"fig6"}, tifs.ExperimentOptions{
 		Scale:     tifs.ScaleSmall,
 		Events:    80_000,
 		Cores:     1,

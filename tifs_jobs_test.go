@@ -87,13 +87,13 @@ func TestJobServiceEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *tifs.JobClient) {
 			defer wg.Done()
-			st, err := tifs.SubmitJob(ctx, c, req)
+			st, err := c.Submit(ctx, req)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			subs[i] = st
-			finals[i], errs[i] = tifs.WatchJob(ctx, c, st.ID, nil)
+			finals[i], errs[i] = c.Watch(ctx, st.ID, nil)
 		}(i, c)
 	}
 	wg.Wait()
@@ -123,11 +123,11 @@ func TestJobServiceEndToEnd(t *testing.T) {
 	svc2, ts2 := startJobServer(t, dir)
 	c := tifs.DialJobService(ts2.URL, nil)
 	c.Name = "e2e-warm"
-	st, err := tifs.SubmitJob(ctx, c, req)
+	st, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("warm submit: %v", err)
 	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, nil)
+	final, err := c.Watch(ctx, st.ID, nil)
 	if err != nil {
 		t.Fatalf("warm watch: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestJobSimulationMatchesLocalReport(t *testing.T) {
 		{Spec: spec, Scale: tifs.ScaleSmall, Config: cfg},
 		{Spec: spec, Scale: tifs.ScaleSmall, Config: tifs.SimConfig{Cores: 4, EventsPerCore: 3_000, Mechanism: tifs.NextLineOnly()}},
 	}
-	results := tifs.SimulateAll(jobs, 2)
+	results := tifs.SimulateAll(context.Background(), jobs, 2, nil)
 	want := tifs.SimReport(results[0], &results[1], tifs.ScaleSmall, 4)
 
 	_, ts := startJobServer(t, t.TempDir())
@@ -167,14 +167,14 @@ func TestJobSimulationMatchesLocalReport(t *testing.T) {
 	c.Name = "sim-client"
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	st, err := tifs.SubmitJob(ctx, c, tifs.JobRequest{
+	st, err := c.Submit(ctx, tifs.JobRequest{
 		Workload: "OLTP-DB2", Mechanism: "tifs-dedicated", Baseline: true,
 		Scale: "small", Events: 3_000, Cores: 4,
 	})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	final, err := tifs.WatchJob(ctx, c, st.ID, nil)
+	final, err := c.Watch(ctx, st.ID, nil)
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}

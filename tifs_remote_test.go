@@ -57,7 +57,8 @@ func newFlakyServer(t *testing.T, st *store.Store, dir string) *flakyServer {
 // workers that share nothing but a server URL — one of them behind a
 // deterministic fault matrix of drops, torn bodies, 5xx rejections, and
 // latency — fill the remote store, and a remote merge renders bytes
-// identical to a storeless serial run with zero re-simulation.
+// identical to a storeless serial run with zero re-simulation. A second
+// leg repeats the sweep with two concurrent self-assigning workers.
 func TestRemoteShardedSweepByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -82,38 +83,49 @@ func TestRemoteShardedSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep0, err := tifs.RemoteShardedSweep(ctx, srv.URL, &http.Client{Transport: rt}, 0, 2, grid, o)
-	if err != nil {
-		t.Fatalf("worker 0 under faults: %v", err)
+	// Each worker owns its client and closes it after its shard,
+	// flushing any write-backs the faults queued.
+	sweep := func(index int, hc *http.Client) tifs.ShardReport {
+		t.Helper()
+		rs := tifs.DialRemoteStore(ctx, srv.URL, hc)
+		defer rs.Close()
+		reports, err := tifs.ShardedSweep(ctx, rs, index, 2, grid, o)
+		if err != nil {
+			t.Fatalf("worker %d: %v", index, err)
+		}
+		return reports[0]
 	}
-	rep1, err := tifs.RemoteShardedSweep(ctx, srv.URL, nil, 1, 2, grid, o)
-	if err != nil {
-		t.Fatalf("worker 1: %v", err)
-	}
+	rep0 := sweep(0, &http.Client{Transport: rt})
+	rep1 := sweep(1, nil)
 	if got, want := rep0.Jobs+rep0.Traces+rep1.Jobs+rep1.Traces, len(grid.Jobs)+len(grid.Traces); got != want {
 		t.Errorf("shards covered %d of %d grid points", got, want)
 	}
 
-	rs := tifs.DialRemoteStore(srv.URL, nil)
+	rs := tifs.DialRemoteStore(ctx, srv.URL, nil)
 	defer rs.Close()
-	if jobs, traces := tifs.MissingFromStore(rs, grid); len(jobs)+len(traces) != 0 {
-		t.Fatalf("remote store missing %d jobs, %d traces after both shards ran", len(jobs), len(traces))
-	}
-	e := tifs.NewSimEngineBackend(0, rs)
-	o.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := e.SimulationsRun(); n != 0 {
-		t.Errorf("remote merge re-simulated %d grid points", n)
-	}
-	direct, err := tifs.RunExperiment("fig13", remoteOpts())
+	merged := mergeFig13(t, rs, grid, o)
+	direct, err := tifs.RunExperiments([]string{"fig13"}, remoteOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged != direct {
 		t.Errorf("remote merge differs from direct run:\n--- merged\n%s\n--- direct\n%s", merged, direct)
+	}
+
+	// Auto-claim leg: two concurrent self-assigning workers on a fresh
+	// server coordinate through its manifest alone.
+	autoDir := t.TempDir()
+	autoStore, err := store.Open(autoDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer autoStore.Close()
+	autoSrv := newFlakyServer(t, autoStore, autoDir)
+	sweepAuto(t, func() sweepBackend { return tifs.DialRemoteStore(ctx, autoSrv.URL, nil) }, 4, grid, o)
+	autoRS := tifs.DialRemoteStore(ctx, autoSrv.URL, nil)
+	defer autoRS.Close()
+	if merged := mergeFig13(t, autoRS, grid, o); merged != direct {
+		t.Errorf("remote auto-claim merge differs from direct run:\n--- merged\n%s\n--- direct\n%s", merged, direct)
 	}
 }
 
@@ -131,7 +143,7 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	defer st.Close()
 	srv := newFlakyServer(t, st, dir)
 
-	rs := tifs.DialRemoteStore(srv.URL, nil)
+	rs := tifs.DialRemoteStore(context.Background(), srv.URL, nil)
 	defer rs.Close()
 	// One instant attempt per op and a held-open breaker keep the
 	// outage phase deterministic and fast.
@@ -144,11 +156,11 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 
 	o := remoteOpts()
 	o.Backend = rs
-	out, err := tifs.RunExperiment("fig13", o)
+	out, err := tifs.RunExperiments([]string{"fig13"}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := tifs.RunExperiment("fig13", remoteOpts())
+	direct, err := tifs.RunExperiments([]string{"fig13"}, remoteOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	// A fresh, untuned client must now see every grid point and merge
 	// the identical bytes from store hits alone — the reconciled
 	// write-backs are the right bytes, not just present.
-	clean := tifs.DialRemoteStore(srv.URL, nil)
+	clean := tifs.DialRemoteStore(context.Background(), srv.URL, nil)
 	defer clean.Close()
 	grid, err := tifs.ExperimentGrid([]string{"fig13"}, remoteOpts())
 	if err != nil {
@@ -186,10 +198,10 @@ func TestRemoteOutageDegradesAndReconciles(t *testing.T) {
 	if jobs, traces := tifs.MissingFromStore(clean, grid); len(jobs)+len(traces) != 0 {
 		t.Fatalf("store missing %d jobs, %d traces after reconcile", len(jobs), len(traces))
 	}
-	e := tifs.NewSimEngineBackend(0, clean)
+	e := tifs.NewSimEngine(0, clean)
 	o2 := remoteOpts()
 	o2.Engine = e
-	merged, err := tifs.RunExperiment("fig13", o2)
+	merged, err := tifs.RunExperiments([]string{"fig13"}, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
