@@ -11,8 +11,11 @@
 package cpu
 
 import (
+	"math"
+
 	"tifs/internal/branch"
 	"tifs/internal/cache"
+	"tifs/internal/flathash"
 	"tifs/internal/isa"
 	"tifs/internal/prefetch"
 	"tifs/internal/uncore"
@@ -46,8 +49,7 @@ type Config struct {
 	// (default 16K).
 	PredictorEntries int
 	// EventBudget bounds how many events the core pulls from its source
-	// (0 = unlimited). It replaces wrapping infinite executors in an
-	// isa.Limit, saving one interface dispatch per event on the hot path.
+	// (0 = unlimited).
 	EventBudget uint64
 	// BackendCPI is the calibrated per-instruction back-end stall adder.
 	BackendCPI float64
@@ -137,32 +139,33 @@ type Core struct {
 	ID  int
 	cfg Config
 
-	l1        *cache.Cache
-	pred      *branch.Hybrid
-	pf        prefetch.Prefetcher
-	pfNone    bool // fast path: skip prefetcher dispatch entirely
-	un        *uncore.L2
-	src       isa.EventSource
-	batchSrc  isa.BatchSource // non-nil when src supports batch refills
-	srcBudget uint64          // events still allowed from src (if budgeted)
-	budgeted  bool
+	l1      *cache.Cache
+	pred    *branch.Hybrid
+	pf      prefetch.Prefetcher
+	pfNone  bool // fast path: skip prefetcher dispatch entirely
+	un      *uncore.L2
+	src     isa.BatchSource
+	srcLeft uint64 // events still allowed from src; 0 once it is dry
 
-	// window is the fetch-target queue, consumed from head; events are
-	// appended at the tail and the slice is compacted only when head
-	// reaches WindowEvents, so the per-step cost is O(1) instead of an
-	// O(window) memmove.
+	// window is the fetch-target queue, consumed from head. It is
+	// refilled in chunks: once fewer than WindowEvents events remain
+	// ahead of head, the unconsumed tail moves to the front and one
+	// NextBatch call fills the rest of its 2*WindowEvents capacity.
 	window []isa.BlockEvent
 	head   int
 
-	// Next-line prefetch buffer in struct-of-arrays layout: membership
-	// scans touch only the densely packed block numbers. nlCount is an
-	// exact counting filter over low block bits: a zero bucket proves
-	// absence, so the common no-match lookup skips the scan.
+	// Next-line prefetch buffer in struct-of-arrays layout. nlIndex maps
+	// each buffered block to its slot, so lookups are O(1) and exact.
 	nlBlock []isa.Block
 	nlReady []uint64
 	nlUsed  []uint64
-	nlCount [256]uint8
+	nlIndex flathash.Map
 	nlSeq   uint64
+	// nlLast is the block of the last nlIssue call. While nlLastOK holds,
+	// no block has left the L1 or the buffer since, so a repeat call for
+	// nlLast would find every block it covers and issue nothing.
+	nlLast   isa.Block
+	nlLastOK bool
 
 	execAcc float64 // fractional execution cycles
 	execCPI float64 // hoisted 1/Width + BackendCPI (same expression tree)
@@ -174,27 +177,26 @@ type Core struct {
 }
 
 // New creates a core. The prefetcher may be nil (next-line only).
-func New(id int, cfg Config, src isa.EventSource, pf prefetch.Prefetcher, un *uncore.L2) *Core {
+func New(id int, cfg Config, src isa.BatchSource, pf prefetch.Prefetcher, un *uncore.L2) *Core {
 	cfg = cfg.withDefaults()
 	if pf == nil {
 		pf = prefetch.None{}
 	}
 	c := &Core{
-		ID:        id,
-		cfg:       cfg,
-		l1:        cache.New(cfg.L1I),
-		pred:      branch.NewHybrid(cfg.PredictorEntries),
-		un:        un,
-		src:       src,
-		srcBudget: cfg.EventBudget,
-		budgeted:  cfg.EventBudget > 0,
-		window:    make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
-		nlBlock:   make([]isa.Block, 0, nlCapacity),
-		nlReady:   make([]uint64, 0, nlCapacity),
-		nlUsed:    make([]uint64, 0, nlCapacity),
-		execCPI:   1.0/float64(cfg.Width) + cfg.BackendCPI,
+		ID:      id,
+		cfg:     cfg,
+		l1:      cache.New(cfg.L1I),
+		pred:    branch.NewHybrid(cfg.PredictorEntries),
+		un:      un,
+		src:     src,
+		srcLeft: budget(cfg),
+		window:  make([]isa.BlockEvent, 0, 2*cfg.WindowEvents),
+		nlBlock: make([]isa.Block, 0, nlCapacity),
+		nlReady: make([]uint64, 0, nlCapacity),
+		nlUsed:  make([]uint64, 0, nlCapacity),
+		execCPI: 1.0/float64(cfg.Width) + cfg.BackendCPI,
 	}
-	c.batchSrc, _ = src.(isa.BatchSource)
+	c.nlIndex.Grow(nlCapacity)
 	c.SetPrefetcher(pf)
 	return c
 }
@@ -204,7 +206,7 @@ func New(id int, cfg Config, src isa.EventSource, pf prefetch.Prefetcher, un *un
 // ways, predictor tables, window, and next-line buffers so pooled
 // simulation runs do not reallocate them. The caller attaches the
 // prefetcher afterwards via SetPrefetcher, as after New.
-func (c *Core) Reset(cfg Config, src isa.EventSource) {
+func (c *Core) Reset(cfg Config, src isa.BatchSource) {
 	cfg = cfg.withDefaults()
 	if c.l1.Config() == cfg.L1I {
 		c.l1.Reset()
@@ -218,9 +220,7 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	}
 	c.cfg = cfg
 	c.src = src
-	c.batchSrc, _ = src.(isa.BatchSource)
-	c.srcBudget = cfg.EventBudget
-	c.budgeted = cfg.EventBudget > 0
+	c.srcLeft = budget(cfg)
 	if cap(c.window) < 2*cfg.WindowEvents {
 		c.window = make([]isa.BlockEvent, 0, 2*cfg.WindowEvents)
 	} else {
@@ -230,8 +230,9 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	c.nlBlock = c.nlBlock[:0]
 	c.nlReady = c.nlReady[:0]
 	c.nlUsed = c.nlUsed[:0]
-	clear(c.nlCount[:])
+	c.nlIndex.Reset()
 	c.nlSeq = 0
+	c.nlLastOK = false
 	c.execAcc = 0
 	c.execCPI = 1.0/float64(cfg.Width) + cfg.BackendCPI
 	c.dataAcc = 0
@@ -239,6 +240,15 @@ func (c *Core) Reset(cfg Config, src isa.EventSource) {
 	c.done = false
 	c.stats = Stats{}
 	c.SetPrefetcher(nil)
+}
+
+// budget returns how many events a core with cfg may pull from its
+// source.
+func budget(cfg Config) uint64 {
+	if cfg.EventBudget == 0 {
+		return math.MaxUint64
+	}
+	return cfg.EventBudget
 }
 
 // ContainsBlock implements prefetch.L1View.
@@ -249,6 +259,9 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 
 // Done reports whether the event source is exhausted.
 func (c *Core) Done() bool { return c.done }
+
+// Events returns how many events the core has executed.
+func (c *Core) Events() uint64 { return c.stats.Events }
 
 // Stats returns a copy of the counters (Cycles kept current).
 func (c *Core) Stats() Stats {
@@ -271,85 +284,58 @@ func (c *Core) SetPrefetcher(pf prefetch.Prefetcher) {
 	_, c.pfNone = pf.(prefetch.None)
 }
 
-// fillWindow tops up the fetch-target queue, compacting the consumed
-// prefix only when it has grown to a full window's worth of slots.
-//
-// With no prefetcher attached nothing observes the window contents, so
-// the queue refills lazily in full batches through isa.BatchSource when
-// available: one dynamic dispatch per window instead of per event, with
-// events written in place. Prefetchers get the original per-event refill
-// so OnWindow always sees a full lookahead window.
+// fillWindow refills the fetch-target queue once fewer than
+// WindowEvents events remain ahead of head: the unconsumed tail moves to
+// the front and one NextBatch call fills the window to capacity, capped
+// by the event budget. A short batch means the source is dry.
 func (c *Core) fillWindow() {
-	if c.head >= c.cfg.WindowEvents {
-		n := copy(c.window, c.window[c.head:])
-		c.window = c.window[:n]
-		c.head = 0
-	}
-	if c.pfNone && c.batchSrc != nil {
-		if c.head < len(c.window) {
-			return // still events queued; nobody needs a full window
-		}
-		want := c.cfg.WindowEvents
-		if c.budgeted {
-			if c.srcBudget == 0 {
-				return
-			}
-			if uint64(want) > c.srcBudget {
-				want = int(c.srcBudget)
-			}
-		}
-		base := len(c.window)
-		c.window = c.window[:base+want]
-		n := c.batchSrc.NextBatch(c.window[base:])
-		c.window = c.window[:base+n]
-		if c.budgeted {
-			c.srcBudget -= uint64(n)
-		}
-		if n < want {
-			c.srcBudget = 0
-			c.budgeted = true
-		}
+	if len(c.window)-c.head >= c.cfg.WindowEvents || c.srcLeft == 0 {
 		return
 	}
-	for len(c.window)-c.head < c.cfg.WindowEvents {
-		if c.budgeted {
-			if c.srcBudget == 0 {
-				return
-			}
-			c.srcBudget--
-		}
-		ev, ok := c.src.Next()
-		if !ok {
-			c.srcBudget = 0
-			return
-		}
-		c.window = append(c.window, ev)
+	n := copy(c.window, c.window[c.head:])
+	c.head = 0
+	want := cap(c.window) - n
+	if uint64(want) > c.srcLeft {
+		want = int(c.srcLeft)
+	}
+	got := c.src.NextBatch(c.window[n : n+want])
+	c.window = c.window[:n+got]
+	if got < want {
+		c.srcLeft = 0
+	} else {
+		c.srcLeft -= uint64(got)
 	}
 }
 
-// nlFind returns the buffer index holding b, or -1. It scans backwards:
-// probed blocks are almost always the ones appended moments ago, so the
-// match sits near the tail and the scan is a handful of iterations.
+// nlFind returns the buffer index holding b, or -1.
 func (c *Core) nlFind(b isa.Block) int {
-	if c.nlCount[uint64(b)&255] == 0 {
+	i, ok := c.nlIndex.Get(uint64(b))
+	if !ok {
 		return -1
 	}
-	for i := len(c.nlBlock) - 1; i >= 0; i-- {
-		if c.nlBlock[i] == b {
-			return i
-		}
-	}
-	return -1
+	return int(i)
+}
+
+// l1Fill installs b in the L1-I. The fill may evict a block a repeat
+// nlIssue call would otherwise find, so it ends the repeat skip.
+func (c *Core) l1Fill(b isa.Block) {
+	c.l1.Fill(b)
+	c.nlLastOK = false
 }
 
 // nlRemove deletes entry i (order is irrelevant; replacement is by age
-// stamp, so swap-delete is safe).
+// stamp, so swap-delete is safe) and re-points the moved entry's slot.
+// Like an L1 eviction, it ends nlIssue's repeat skip.
 func (c *Core) nlRemove(i int) {
-	c.nlCount[uint64(c.nlBlock[i])&255]--
+	c.nlLastOK = false
+	c.nlIndex.Delete(uint64(c.nlBlock[i]))
 	last := len(c.nlBlock) - 1
-	c.nlBlock[i] = c.nlBlock[last]
-	c.nlReady[i] = c.nlReady[last]
-	c.nlUsed[i] = c.nlUsed[last]
+	if i != last {
+		c.nlBlock[i] = c.nlBlock[last]
+		c.nlReady[i] = c.nlReady[last]
+		c.nlUsed[i] = c.nlUsed[last]
+		c.nlIndex.Put(uint64(c.nlBlock[i]), uint64(i))
+	}
 	c.nlBlock = c.nlBlock[:last]
 	c.nlReady = c.nlReady[:last]
 	c.nlUsed = c.nlUsed[:last]
@@ -373,8 +359,15 @@ func (c *Core) nlProbe(b isa.Block) (uint64, bool) {
 	return ready, true
 }
 
-// nlIssue starts next-line prefetches for the blocks after b.
+// nlIssue starts next-line prefetches for the blocks after b. A repeat
+// call for the previous call's block returns at once: unless a block has
+// left the L1 or the buffer since (l1Fill, nlRemove, or an eviction
+// inside that call), every block after b is still in one of them.
 func (c *Core) nlIssue(b isa.Block, now uint64) {
+	if c.nlLastOK && b == c.nlLast {
+		return
+	}
+	c.nlLast, c.nlLastOK = b, true
 	for d := 1; d <= c.cfg.NextLineDepth; d++ {
 		nb := b + isa.Block(d)
 		if c.l1.Contains(nb) || c.nlFind(nb) >= 0 {
@@ -382,8 +375,8 @@ func (c *Core) nlIssue(b isa.Block, now uint64) {
 		}
 		ready := c.un.ReadBlock(c.ID, nb, now, uncore.TrafficNextLine)
 		c.nlSeq++
-		c.nlCount[uint64(nb)&255]++
 		if len(c.nlBlock) < nlCapacity {
+			c.nlIndex.Put(uint64(nb), uint64(len(c.nlBlock)))
 			c.nlBlock = append(c.nlBlock, nb)
 			c.nlReady = append(c.nlReady, ready)
 			c.nlUsed = append(c.nlUsed, c.nlSeq)
@@ -395,10 +388,13 @@ func (c *Core) nlIssue(b isa.Block, now uint64) {
 				oldest = i
 			}
 		}
-		c.nlCount[uint64(c.nlBlock[oldest])&255]--
+		c.nlIndex.Delete(uint64(c.nlBlock[oldest]))
+		c.nlIndex.Put(uint64(nb), uint64(oldest))
 		c.nlBlock[oldest] = nb
 		c.nlReady[oldest] = ready
 		c.nlUsed[oldest] = c.nlSeq
+		// The victim may be an earlier block of this very call.
+		c.nlLastOK = false
 	}
 }
 
@@ -431,7 +427,8 @@ func (c *Core) Step() bool {
 	}
 	ev := &c.window[c.head]
 	if !c.pfNone {
-		c.pf.OnWindow(c.window[c.head:], c.cycle)
+		end := min(c.head+c.cfg.WindowEvents, len(c.window))
+		c.pf.OnWindow(c.window[c.head:end], c.cycle)
 	}
 
 	if ev.Serializing {
@@ -479,7 +476,7 @@ func (c *Core) Step() bool {
 				ready := c.un.ReadBlock(c.ID, b, c.cycle, uncore.TrafficFetch)
 				c.stall(ready, ev.Serializing, &c.stats.StallMiss)
 			}
-			c.l1.Fill(b)
+			c.l1Fill(b)
 		}
 		if !c.pfNone {
 			c.pf.OnFetchBlock(b, outcome, c.cycle)
@@ -518,7 +515,7 @@ func (c *Core) Step() bool {
 	}
 	c.stats.Events++
 	c.stats.Instrs += uint64(ev.Instrs)
-	c.head++ // consume; compaction is amortized in fillWindow
+	c.head++ // consume; compaction happens once per refill in fillWindow
 	return true
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // seqSource yields n sequential block-aligned events.
-func seqSource(pc isa.Addr, n int) isa.EventSource {
+func seqSource(pc isa.Addr, n int) *isa.SliceSource {
 	evs := make([]isa.BlockEvent, n)
 	for i := range evs {
 		kind := isa.CTFallthrough
@@ -22,7 +22,7 @@ func seqSource(pc isa.Addr, n int) isa.EventSource {
 	return isa.NewSliceSource(evs)
 }
 
-func newCore(t testing.TB, src isa.EventSource, pf prefetch.Prefetcher) (*Core, *uncore.L2) {
+func newCore(t testing.TB, src isa.BatchSource, pf prefetch.Prefetcher) (*Core, *uncore.L2) {
 	t.Helper()
 	un := uncore.New(uncore.Config{})
 	c := New(0, Config{BackendCPI: 0.4}, src, pf, un)
@@ -186,18 +186,51 @@ func TestSetPrefetcherNilSafe(t *testing.T) {
 	}
 }
 
+// TestWindowExposedToPrefetcher checks the fetch-target queue a
+// run-ahead prefetcher sees: every OnWindow call gets exactly
+// min(WindowEvents, events left) events, in stream order, whether the
+// run ends on an event budget that is not a multiple of the window or on
+// a source that runs dry.
 func TestWindowExposedToPrefetcher(t *testing.T) {
-	var seen int
-	pf := &windowPeek{onWindow: func(w []isa.BlockEvent) {
-		if len(w) > seen {
-			seen = len(w)
-		}
-	}}
-	c, _ := newCore(t, seqSource(0x7000, 100), pf)
-	for c.Step() {
-	}
-	if seen < 48 {
-		t.Errorf("max window seen = %d, want fetch-target-queue depth 48", seen)
+	for _, tc := range []struct {
+		name           string
+		events, budget int
+	}{
+		{"budget", 300, 131},
+		{"budget-equals-source", 97, 97},
+		{"source-dry", 130, 0},
+		{"source-dry-under-budget", 70, 1000},
+		{"shorter-than-window", 20, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := seqSource(0x7000, tc.events)
+			total := tc.events
+			if tc.budget > 0 && tc.budget < total {
+				total = tc.budget
+			}
+			stream := isa.Collect(seqSource(0x7000, tc.events), uint64(total))
+			const depth = 48
+			calls := 0
+			pf := &windowPeek{onWindow: func(w []isa.BlockEvent) {
+				want := min(depth, total-calls)
+				if len(w) != want {
+					t.Fatalf("call %d saw %d events, want %d", calls, len(w), want)
+				}
+				for i, ev := range w {
+					if ev != stream[calls+i] {
+						t.Fatalf("call %d: window[%d] = %+v, want event %d %+v", calls, i, ev, calls+i, stream[calls+i])
+					}
+				}
+				calls++
+			}}
+			un := uncore.New(uncore.Config{})
+			c := New(0, Config{BackendCPI: 0.4, WindowEvents: depth, EventBudget: uint64(tc.budget)}, src, pf, un)
+			for c.Step() {
+			}
+			if calls != total || c.Events() != uint64(total) {
+				t.Fatalf("%d OnWindow calls over %d events, want %d", calls, c.Events(), total)
+			}
+		})
 	}
 }
 

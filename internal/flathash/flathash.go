@@ -1,9 +1,9 @@
 // Package flathash provides an open-addressed uint64 -> uint64 hash
 // table for the simulator's hot lookup structures (the shared TIFS index
-// table, prefetcher target/seen tables). Compared with a Go map it has a
-// flat, pointer-free layout the GC never scans, O(1) clearing for reuse
-// across pooled simulation runs, and no per-insert allocation once grown
-// to steady-state size.
+// table, prefetcher target/seen tables, the next-line buffer's slot
+// index). Compared with a Go map it has a flat, pointer-free layout the
+// GC never scans, O(1) clearing for reuse across pooled simulation
+// runs, and no per-insert allocation once grown to steady-state size.
 //
 // The table uses Fibonacci hashing with linear probing and grows at 3/4
 // load. Lookups and stores are deterministic; no operation depends on
@@ -106,6 +106,37 @@ func (m *Map) Put(k, v uint64) {
 			return
 		}
 	}
+}
+
+// Delete removes k and reports whether it was present. The entries
+// after the hole in its probe run shift back to fill it (backward-shift
+// deletion), so deletes leave no tombstones for later probes to step
+// over.
+func (m *Map) Delete(k uint64) bool {
+	if m.n == 0 {
+		return false
+	}
+	i := hash(k) & m.mask
+	for ; ; i = (i + 1) & m.mask {
+		if !m.used[i] {
+			return false
+		}
+		if m.keys[i] == k {
+			break
+		}
+	}
+	for j := (i + 1) & m.mask; m.used[j]; j = (j + 1) & m.mask {
+		// The entry at j may fill the hole at i only if i lies on its
+		// probe path, i.e. its home slot is no nearer to j than i is.
+		if (j-hash(m.keys[j]))&m.mask >= (j-i)&m.mask {
+			m.keys[i] = m.keys[j]
+			m.vals[i] = m.vals[j]
+			i = j
+		}
+	}
+	m.used[i] = false
+	m.n--
+	return true
 }
 
 // Reset removes every entry but keeps the table's capacity, so a pooled

@@ -10,12 +10,13 @@ type EventSource interface {
 	Next() (ev BlockEvent, ok bool)
 }
 
-// BatchSource is an optional EventSource extension: NextBatch fills dst
-// with up to len(dst) events and returns how many were written (short
-// only when the source is exhausted). Consumers that do not need
-// per-event pacing (the next-line-only fetch path, trace extraction)
-// use it to amortize interface dispatch and event copies across a whole
-// buffer refill.
+// BatchSource yields events a buffer at a time: NextBatch fills dst with
+// up to len(dst) events and returns how many were written (short only
+// when the source is exhausted). It is how the simulated core's fetch
+// unit refills its window, so every simulation source implements it
+// (workload executors, the intra-run rings, SliceSource); trace
+// extraction uses it when its source does. One call amortizes interface
+// dispatch and event copies across a whole refill.
 type BatchSource interface {
 	NextBatch(dst []BlockEvent) int
 }

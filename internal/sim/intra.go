@@ -73,7 +73,7 @@ type pipeChunk struct {
 
 // corePipe is one core's SPSC epoch ring. The producer side (a shard
 // worker) fills slots drawn from free and publishes them on full; the
-// consumer side implements isa.EventSource/BatchSource for the core.
+// consumer side implements isa.BatchSource for the core.
 type corePipe struct {
 	buf  []isa.BlockEvent // intraRingChunks * intraChunkEvents slots
 	full chan pipeChunk
@@ -157,21 +157,9 @@ func (p *corePipe) advance() bool {
 	return true
 }
 
-// Next implements isa.EventSource on the consumer side.
-func (p *corePipe) Next() (isa.BlockEvent, bool) {
-	for p.pos >= p.cur.n || !p.active {
-		if !p.advance() {
-			return isa.BlockEvent{}, false
-		}
-	}
-	ev := p.chunk(p.cur.idx)[p.pos]
-	p.pos++
-	return ev, true
-}
-
 // NextBatch implements isa.BatchSource: it fills dst across epoch
 // boundaries, short only when the stream is exhausted (the contract the
-// fetch unit's batched refill path relies on).
+// fetch unit's chunked refill relies on).
 func (p *corePipe) NextBatch(dst []isa.BlockEvent) int {
 	n := 0
 	for n < len(dst) {
@@ -189,11 +177,10 @@ func (p *corePipe) NextBatch(dst []isa.BlockEvent) int {
 
 // intraProducer generates one core's events into its pipe.
 type intraProducer struct {
-	pipe  *corePipe
-	src   isa.EventSource
-	batch isa.BatchSource // non-nil when src supports batch refills
-	left  uint64          // events still to produce
-	done  bool
+	pipe *corePipe
+	src  isa.BatchSource
+	left uint64 // events still to produce
+	done bool
 }
 
 // fillOne produces one epoch (blocking on ring backpressure) and
@@ -207,19 +194,7 @@ func (p *intraProducer) fillOne() {
 	if p.left < uint64(want) {
 		want = int(p.left)
 	}
-	n := 0
-	if p.batch != nil {
-		n = p.batch.NextBatch(buf[:want])
-	} else {
-		for n < want {
-			ev, ok := p.src.Next()
-			if !ok {
-				break
-			}
-			buf[n] = ev
-			n++
-		}
-	}
+	n := p.src.NextBatch(buf[:want])
 	p.left -= uint64(n)
 	if n < intraChunkEvents {
 		// Short chunk: source exhausted, or budget reached. Either way
@@ -275,7 +250,7 @@ func intraWorker(work chan *intraTask) {
 // intraState is the Runner's pooled intra-parallel machinery.
 type intraState struct {
 	pipes   []*corePipe
-	srcs    []isa.EventSource
+	srcs    []isa.BatchSource
 	tasks   []intraTask
 	work    chan *intraTask
 	workers int
@@ -283,13 +258,13 @@ type intraState struct {
 
 // pipeSources ensures a pooled ring per core and returns the pipes as
 // the event sources the cores should read this run.
-func (r *Runner) pipeSources(cores int) []isa.EventSource {
+func (r *Runner) pipeSources(cores int) []isa.BatchSource {
 	st := &r.intra
 	for len(st.pipes) < cores {
 		st.pipes = append(st.pipes, newCorePipe())
 	}
 	if cap(st.srcs) < cores {
-		st.srcs = make([]isa.EventSource, cores)
+		st.srcs = make([]isa.BatchSource, cores)
 	}
 	st.srcs = st.srcs[:cores]
 	for i := 0; i < cores; i++ {
@@ -314,7 +289,7 @@ func intraShards(intra, cores int) int {
 // reset here, strictly before any producer starts, so the handoff
 // through the task channel orders every reset before the first
 // concurrent access.
-func (r *Runner) startIntra(sources []isa.EventSource, perCore uint64, shards int) {
+func (r *Runner) startIntra(sources []isa.BatchSource, perCore uint64, shards int) {
 	st := &r.intra
 	cores := len(sources)
 	if cap(st.tasks) < shards {
@@ -344,7 +319,6 @@ func (r *Runner) startIntra(sources []isa.EventSource, perCore uint64, shards in
 			p := &t.prods[i-lo]
 			p.pipe = st.pipes[i]
 			p.src = sources[i]
-			p.batch, _ = sources[i].(isa.BatchSource)
 			p.left = perCore
 			p.done = false
 		}

@@ -227,8 +227,8 @@ type genKey struct {
 // that would otherwise be rebuilt (and allocated) every run.
 type genEntry struct {
 	gen      *workload.Generated
-	sources  []isa.EventSource
-	tifsSeed string // spec.Name + "/" + scale.String()
+	sources  []isa.BatchSource // gen's executors
+	tifsSeed string            // spec.Name + "/" + scale.String()
 }
 
 // Runner executes simulations while recycling every piece of machine
@@ -288,7 +288,10 @@ func (r *Runner) workload(spec workload.Spec, scale workload.Scale, cores int) *
 		return ge
 	}
 	gen := workload.Build(spec, scale, cores)
-	ge := &genEntry{gen: gen, sources: gen.Sources(), tifsSeed: spec.Name + "/" + scale.String()}
+	ge := &genEntry{gen: gen, sources: make([]isa.BatchSource, len(gen.Execs)), tifsSeed: spec.Name + "/" + scale.String()}
+	for i, x := range gen.Execs {
+		ge.sources[i] = x
+	}
 	r.gens[key] = ge
 	return ge
 }
@@ -440,7 +443,7 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 			continue
 		}
 		h.fix() // the stepped core's clock only moved forward
-		if !warmed[next] && cores[next].Stats().Events >= cfg.WarmupEvents {
+		if !warmed[next] && cores[next].Events() >= cfg.WarmupEvents {
 			warmed[next] = true
 			warmStats[next] = cores[next].Stats()
 			warmPf[next] = cores[next].Prefetcher().Stats()
