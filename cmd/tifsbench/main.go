@@ -12,13 +12,6 @@
 // instead of re-simulating, printing byte-identical tables in a fraction
 // of the time. A store summary goes to stderr so stdout stays clean.
 //
-// -intra N shards event generation inside each simulation across N
-// producer goroutines with a deterministic merge at the shared uncore:
-// output bytes are identical at every setting, so it composes with
-// every mode below (and is excluded from -submit's dedup key). It
-// accepts off|on|auto|N ("on" and "auto" size to the machine); negative
-// widths are rejected.
-//
 // Sharded sweeps split one experiment grid across processes or machines
 // that share a -cache-dir (for machines: on a shared filesystem):
 //
@@ -105,9 +98,8 @@ func run() int {
 		scaleName  = flag.String("scale", "small", "workload scale: small|medium|full")
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all six)")
 		events     = flag.Uint64("events", 0, "override per-core event budget (0 = scale default)")
-		cores      = flag.Int("cores", 4, "number of cores")
+		cores      = flag.Int("cores", 4, "number of cores (0 selects 4)")
 		parallel   = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		intra      = flag.String("intra", "off", "producer shards inside each simulation: off|on|auto|N (off/0/1 = serial, auto = NumCPU; output bytes identical at every setting)")
 		cacheDir   = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote     = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); replaces -cache-dir for runs, -shard, and -merge")
 		submit     = flag.String("submit", "", "submit the run as a job to a tifsserve URL and stream its progress; the server executes it")
@@ -120,6 +112,14 @@ func run() int {
 		list       = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
+	if *cores < 0 {
+		fmt.Fprintf(os.Stderr, "cores %d: must be non-negative (0 selects 4)\n", *cores)
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(os.Stderr, "parallelism %d: must be non-negative (0 selects GOMAXPROCS)\n", *parallel)
+		return 2
+	}
 
 	if *list {
 		for _, e := range tifs.Experiments() {
@@ -175,14 +175,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := tifs.ParseIntraParallelism(*intra)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	ctx, stop := signalContext()
 	defer stop()
-	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel, IntraParallelism: intraN}
+	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
 			name := strings.TrimSpace(w)
@@ -237,11 +232,7 @@ func run() int {
 	// zero simulations and zero grammar builds on a warm store is the
 	// observable proof the persistence tiers answered everything.
 	eng := tifs.NewSimEngine(*parallel, st)
-	if intraN > 1 {
-		eng.SetIntraParallelism(intraN)
-	}
 	o.Engine = eng
-	defer eng.Close()
 	defer func() {
 		fmt.Fprintf(os.Stderr, "engine: %d simulations run, %d store hits, %d grammar builds\n",
 			eng.SimulationsRun(), eng.StoreHits(), eng.GrammarBuilds())
@@ -306,12 +297,11 @@ func interrupted(ctx context.Context) int {
 func runSubmit(ctx context.Context, url string, httpClient *http.Client, ids []string, o tifs.ExperimentOptions) int {
 	c := tifs.DialJobService(url, httpClient)
 	req := tifs.JobRequest{
-		Experiments:      ids,
-		Workloads:        o.Workloads,
-		Scale:            fmt.Sprint(o.Scale),
-		Events:           o.Events,
-		Cores:            o.Cores,
-		IntraParallelism: o.IntraParallelism,
+		Experiments: ids,
+		Workloads:   o.Workloads,
+		Scale:       fmt.Sprint(o.Scale),
+		Events:      o.Events,
+		Cores:       o.Cores,
 	}
 	st, err := c.Submit(ctx, req)
 	if err != nil {
@@ -435,7 +425,6 @@ func runMerge(ctx context.Context, cacheDir, remote string, httpClient *http.Cli
 	missingJobs, missingTraces := tifs.MissingFromStore(st, grid)
 	e := tifs.NewSimEngine(o.Parallelism, st)
 	o.Engine = e
-	defer e.Close()
 
 	out, err := tifs.RunExperiments(ids, o)
 	if err != nil {

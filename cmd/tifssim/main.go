@@ -56,15 +56,18 @@ func run() int {
 		scaleName = flag.String("scale", "small", "small|medium|full")
 		mechName  = flag.String("mechanism", "tifs-dedicated", "next-line|fdip|discontinuity|tifs-unbounded|tifs-dedicated|tifs-virtualized|perfect")
 		events    = flag.Uint64("events", 0, "per-core events (0 = scale default)")
-		cores     = flag.Int("cores", 4, "number of cores")
+		cores     = flag.Int("cores", 4, "number of cores (0 selects 4)")
 		baseline  = flag.Bool("baseline", true, "also run the next-line baseline and report speedup")
-		intra     = flag.String("intra", "off", "producer shards inside the simulation: off|on|auto|N (off/0/1 = serial, auto = NumCPU; report bytes identical at every setting)")
 		cacheDir  = flag.String("cache-dir", "", "persistent result store directory (empty = disabled)")
 		remote    = flag.String("remote", "", "tifsserve base URL (e.g. http://host:8419); remote result store instead of -cache-dir")
 		submit    = flag.String("submit", "", "submit the simulation as a job to a tifsserve URL; the server executes it and returns the report")
 		storeGC   = flag.Bool("store-gc", false, "compact the -cache-dir store (fold segments, drop dead bytes) and exit")
 	)
 	flag.Parse()
+	if *cores < 0 {
+		fmt.Fprintf(os.Stderr, "cores %d: must be non-negative (0 selects 4)\n", *cores)
+		return 2
+	}
 
 	if *storeGC {
 		if *cacheDir == "" {
@@ -95,16 +98,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	intraN, err := tifs.ParseIntraParallelism(*intra)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	ctx, stop := signalContext()
 	defer stop()
 
 	if *submit != "" {
-		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores, intraN)
+		return runSubmit(ctx, *submit, *name, *mechName, *scaleName, *baseline, *events, *cores)
 	}
 
 	// Run the mechanism and (when requested) its next-line baseline as one
@@ -134,13 +132,11 @@ func run() int {
 	}
 	jobs := []tifs.SimJob{{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 		Cores: *cores, EventsPerCore: *events, Mechanism: mech,
-		IntraParallelism: intraN,
 	}}}
 	wantBaseline := *baseline && mech.Kind != "none"
 	if wantBaseline {
 		jobs = append(jobs, tifs.SimJob{Spec: spec, Scale: scale, Config: tifs.SimConfig{
 			Cores: *cores, EventsPerCore: *events, Mechanism: tifs.NextLineOnly(),
-			IntraParallelism: intraN,
 		}})
 	}
 	results := tifs.SimulateAll(ctx, jobs, 0, st)
@@ -154,18 +150,17 @@ func run() int {
 	if wantBaseline {
 		base = &results[1]
 	}
-	fmt.Print(tifs.SimReport(results[0], base, scale, *cores))
+	fmt.Print(tifs.SimReport(results[0], base, scale))
 	return 0
 }
 
 // runSubmit posts the simulation to a sweep service's job API and
 // prints the server-rendered report.
-func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores, intra int) int {
+func runSubmit(ctx context.Context, url, workload, mechanism, scale string, baseline bool, events uint64, cores int) int {
 	c := tifs.DialJobService(url, nil)
 	st, err := c.Submit(ctx, tifs.JobRequest{
 		Workload: workload, Mechanism: mechanism, Baseline: baseline,
 		Scale: scale, Events: events, Cores: cores,
-		IntraParallelism: intra,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tifssim:", err)

@@ -200,27 +200,30 @@ func TestMissTracesMemoized(t *testing.T) {
 	}
 }
 
-// TestEngineClose: Close releases the pooled runners deterministically,
-// and a closed engine keeps working — later jobs build fresh runners
-// that are released on return rather than re-pooled.
+// TestEngineClose: a pooled engine keeps working. Runs share one
+// pooled runner, and its results match a fresh engine's. The deprecated
+// Close, still called by older owners, changes nothing.
 func TestEngineClose(t *testing.T) {
 	oltp := spec(t, "OLTP-DB2")
-	e := New(2)
-	e.SetIntraParallelism(2)
+	web := spec(t, "Web-Zeus")
+	e := New(1)
 	a := job(oltp, sim.Baseline())
-	before := e.Run(context.Background(), a)
-	e.Close()
-	e.Close() // idempotent
-	if n := len(e.runnerPool); n != 0 {
-		t.Fatalf("runner pool holds %d runners after Close", n)
+	b := job(web, sim.FDIP())
+	c := a
+	c.Config.EventsPerCore = 9_000 // a fresh key, so it really simulates
+	var got []sim.Result
+	for i, j := range []Job{a, b, c} {
+		got = append(got, e.Run(context.Background(), j))
+		if n := len(e.runnerPool); n != 1 {
+			t.Fatalf("run %d: runner pool holds %d runners, want 1", i, n)
+		}
+		e.Close()
 	}
-	b := a
-	b.Config.EventsPerCore = 9_000 // a fresh key, so it really simulates
-	after := e.Run(context.Background(), b)
-	if after.Cycles == 0 || before.Cycles == 0 {
-		t.Fatal("runs around Close produced empty results")
+	want := New(1).RunAll(context.Background(), []Job{a, b, c})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("pooled engine diverged from a fresh engine")
 	}
-	if n := len(e.runnerPool); n != 0 {
-		t.Errorf("closed engine re-pooled %d runners", n)
+	if got := e.SimulationsRun(); got != 3 {
+		t.Errorf("ran %d simulations, want 3", got)
 	}
 }

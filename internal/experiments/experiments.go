@@ -44,14 +44,6 @@ type Options struct {
 	// results are assembled in submission order and every simulation is
 	// deterministic in its configuration.
 	Parallelism int
-	// IntraParallelism shards event generation inside each simulation
-	// across that many goroutines (sim.Config.IntraParallelism). Like
-	// Parallelism it is purely an execution knob — output bytes are
-	// identical at every setting — so it is excluded from job identity
-	// everywhere (engine keys, store addresses, sweep dedup). When both
-	// knobs are set the engine divides its worker budget so run-level
-	// times intra-run concurrency does not oversubscribe the host.
-	IntraParallelism int
 	// Engine overrides the simulation scheduler (nil selects the
 	// process-wide engine when Parallelism is 0 and Backend is nil, or a
 	// fresh engine otherwise). Supplying one engine across several
@@ -87,11 +79,8 @@ func (o Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	if o.Parallelism != 0 || o.IntraParallelism > 1 || o.Backend != nil {
+	if o.Parallelism != 0 || o.Backend != nil {
 		e := engine.New(o.Parallelism)
-		if o.IntraParallelism > 1 {
-			e.SetIntraParallelism(o.IntraParallelism)
-		}
 		e.SetBackend(o.Backend)
 		return e
 	}
@@ -104,10 +93,9 @@ func (o Options) job(spec workload.Spec, m sim.Mechanism) engine.Job {
 		Spec:  spec,
 		Scale: o.Scale,
 		Config: sim.Config{
-			Cores:            o.Cores,
-			EventsPerCore:    o.Events,
-			Mechanism:        m,
-			IntraParallelism: o.IntraParallelism,
+			Cores:         o.Cores,
+			EventsPerCore: o.Events,
+			Mechanism:     m,
 		},
 	}
 }

@@ -14,7 +14,7 @@ type EventSource interface {
 // up to len(dst) events and returns how many were written (short only
 // when the source is exhausted). It is how the simulated core's fetch
 // unit refills its window, so every simulation source implements it
-// (workload executors, the intra-run rings, SliceSource); trace
+// (workload executors, SliceSource); trace
 // extraction uses it when its source does. One call amortizes interface
 // dispatch and event copies across a whole refill.
 type BatchSource interface {

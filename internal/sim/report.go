@@ -42,12 +42,13 @@ func MechanismNames() []string {
 // Report renders the detailed single-simulation report: cycles, IPC,
 // fetch-stall share, coverage, discards, and the L2 traffic ledger,
 // plus the speedup line when a next-line baseline result accompanies
-// the run. tifssim prints it locally and the sweep service returns it
-// as a simulation job's output, so the two paths are byte-identical by
-// construction.
-func Report(r Result, baseline *Result, scale workload.Scale, cores int) string {
+// the run. The core count in the header is the one the run used
+// (len(r.PerCore)), so a defaulted width prints as resolved. tifssim
+// prints it locally and the sweep service returns it as a simulation
+// job's output, so the two paths are byte-identical by construction.
+func Report(r Result, baseline *Result, scale workload.Scale) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "workload:   %s (%s scale, %d cores)\n", r.Workload, scale, cores)
+	fmt.Fprintf(&b, "workload:   %s (%s scale, %d cores)\n", r.Workload, scale, len(r.PerCore))
 	fmt.Fprintf(&b, "mechanism:  %s\n", r.Mechanism)
 	fmt.Fprintf(&b, "cycles:     %d (makespan)\n", r.Cycles)
 	fmt.Fprintf(&b, "instrs:     %d   IPC: %.3f\n", r.TotalInstrs, r.IPC())

@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"tifs/internal/core"
 	"tifs/internal/cpu"
@@ -110,12 +109,6 @@ type Config struct {
 	Uncore uncore.Config
 	// Mechanism is the attached prefetcher.
 	Mechanism Mechanism
-	// IntraParallelism shards event generation for this one run across
-	// that many producer goroutines (clamped to Cores; 0 or 1 runs
-	// serially). It is purely an execution knob: output bytes are
-	// identical at every setting (see intra.go for the determinism
-	// model), so it never participates in result identity.
-	IntraParallelism int
 }
 
 // Result is the outcome of one simulation run.
@@ -266,12 +259,6 @@ type Runner struct {
 	heap      coreHeap
 	perCore   []cpu.Stats
 	tstats    core.TIFSStats
-
-	intra intraState
-
-	// finalizerArmed records that the backstop finalizer releasing the
-	// worker goroutines is registered (see Close).
-	finalizerArmed bool
 }
 
 // NewRunner creates an empty Runner; its pools fill on first use.
@@ -314,15 +301,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	}
 
 	ge := r.workload(spec, scale, cfg.Cores)
-	// With intra-run parallelism the cores read from pooled SPSC epoch
-	// rings fed by shard workers instead of the executors directly; the
-	// events delivered are identical values in identical per-core order,
-	// so everything downstream is unchanged.
-	shards := intraShards(cfg.IntraParallelism, cfg.Cores)
-	sources := ge.sources
-	if shards > 1 {
-		sources = r.pipeSources(cfg.Cores)
-	}
 	if r.un == nil {
 		r.un = uncore.New(cfg.Uncore)
 	} else {
@@ -348,10 +326,10 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 		ccfg.EventBudget = cfg.WarmupEvents + cfg.EventsPerCore
 		c := r.cores[i]
 		if c == nil {
-			c = cpu.New(i, ccfg, sources[i], nil, un)
+			c = cpu.New(i, ccfg, ge.sources[i], nil, un)
 			r.cores[i] = c
 		} else {
-			c.Reset(ccfg, sources[i])
+			c.Reset(ccfg, ge.sources[i])
 		}
 		var pf prefetch.Prefetcher
 		switch cfg.Mechanism.Kind {
@@ -428,12 +406,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	warmed := resetSlice(&r.warmed, cfg.Cores)
 	var warmTraffic uncore.Traffic
 	warmedCount := 0
-	// All setup that can panic is behind us: start the shard workers
-	// producing into the rings. They retire right after the merge loop —
-	// the cores consume the rings dry, so no worker can still be parked.
-	if shards > 1 {
-		r.startIntra(ge.sources, cfg.WarmupEvents+cfg.EventsPerCore, shards)
-	}
 	h := &r.heap
 	h.init(cores)
 	for h.len() > 0 {
@@ -452,9 +424,6 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 				warmTraffic = un.Traffic()
 			}
 		}
-	}
-	if shards > 1 {
-		r.finishIntra()
 	}
 
 	res := Result{
@@ -485,39 +454,11 @@ func (r *Runner) Run(spec workload.Spec, scale workload.Scale, cfg Config) Resul
 	return res
 }
 
-// Close releases the Runner's background worker goroutines, the
-// intra-run shard producers. It must not be called while a Run is in
-// flight. Close is idempotent, and the Runner remains usable
-// afterwards: the next run that needs workers recreates them. Owners with a deterministic lifecycle (the experiment engine's
-// runner pool, the CLIs) call Close explicitly; a finalizer performs the
-// same release as a backstop for Runners dropped without it.
-func (r *Runner) Close() {
-	if r.finalizerArmed {
-		runtime.SetFinalizer(r, nil)
-		r.finalizerArmed = false
-	}
-	releaseRunnerWorkers(r)
-}
-
-// armFinalizer registers the backstop finalizer once, when the first
-// worker goroutine is created.
-func (r *Runner) armFinalizer() {
-	if !r.finalizerArmed {
-		r.finalizerArmed = true
-		runtime.SetFinalizer(r, releaseRunnerWorkers)
-	}
-}
-
-// releaseRunnerWorkers closes the channel the worker goroutines park
-// on, letting them exit. Workers hold only the channel while parked —
-// never the Runner — so the finalizer can fire and still reach here.
-func releaseRunnerWorkers(r *Runner) {
-	if r.intra.work != nil {
-		close(r.intra.work)
-		r.intra.work = nil
-		r.intra.workers = 0
-	}
-}
+// Close does nothing: a Runner holds no goroutines or other resources
+// beyond memory.
+//
+// Deprecated: Runners need no release; drop the call.
+func (r *Runner) Close() {}
 
 // probSeed returns the cached probabilistic-mechanism seed string for
 // (workload, core), rebuilding the cache only when the workload changes.

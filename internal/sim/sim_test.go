@@ -2,9 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"tifs/internal/core"
+	"tifs/internal/cpu"
 	"tifs/internal/uncore"
 	"tifs/internal/workload"
 )
@@ -257,30 +259,54 @@ func TestRunnerSteadyStateZeroAlloc(t *testing.T) {
 		{"perfect", spec, Perfect()},
 		{"long-name", long, TIFS(core.VirtualizedConfig())},
 	} {
-		// Intra-run parallelism must not reintroduce per-run allocations:
-		// the rings, worker goroutines, and producer descriptors are all
-		// pooled in the Runner.
-		for _, intra := range []int{0, 4} {
-			name := tc.name
-			if intra > 0 {
-				name += "/intra-4"
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRunner()
+			cfg := Config{
+				EventsPerCore: 12_000,
+				WarmupEvents:  3_000,
+				Mechanism:     tc.mech,
 			}
-			t.Run(name, func(t *testing.T) {
-				r := NewRunner()
-				cfg := Config{
-					EventsPerCore:    12_000,
-					WarmupEvents:     3_000,
-					Mechanism:        tc.mech,
-					IntraParallelism: intra,
-				}
-				r.Run(tc.spec, workload.ScaleSmall, cfg) // reach steady-state capacity
-				allocs := testing.AllocsPerRun(2, func() {
-					r.Run(tc.spec, workload.ScaleSmall, cfg)
-				})
-				if allocs != 0 {
-					t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
-				}
+			r.Run(tc.spec, workload.ScaleSmall, cfg) // reach steady-state capacity
+			allocs := testing.AllocsPerRun(2, func() {
+				r.Run(tc.spec, workload.ScaleSmall, cfg)
 			})
+			if allocs != 0 {
+				t.Errorf("steady-state run allocated %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// copyResult deep-copies a Result out of the Runner's pooled buffers so
+// it survives subsequent runs on the same Runner.
+func copyResult(r Result) Result {
+	r.PerCore = append([]cpu.Stats(nil), r.PerCore...)
+	if r.TIFS != nil {
+		t := *r.TIFS
+		r.TIFS = &t
+	}
+	return r
+}
+
+// TestSpecPooledRunnerChurn drives one pooled Runner back and forth
+// across workload specs: pooled per-core and uncore state from one spec
+// must never leak into the next.
+func TestSpecPooledRunnerChurn(t *testing.T) {
+	spec, ok := workload.ByName("OLTP-DB2")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	web, ok := workload.ByName("Web-Zeus")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	cfg := Config{EventsPerCore: 15_000, WarmupEvents: 4_000, Mechanism: Baseline()}
+	r := NewRunner()
+	for _, s := range []workload.Spec{spec, web, spec, web, spec, web, spec} {
+		pooled := copyResult(r.Run(s, workload.ScaleSmall, cfg))
+		fresh := Run(s, workload.ScaleSmall, cfg)
+		if !resultsEqual(fresh, pooled) {
+			t.Errorf("%s: pooled run diverged from fresh run", s.Name)
 		}
 	}
 }
@@ -296,4 +322,28 @@ func TestUnknownMechanismPanics(t *testing.T) {
 		EventsPerCore: 1000,
 		Mechanism:     Mechanism{Kind: "bogus"},
 	})
+}
+
+// TestReportHeaderNamesRunCores: the report header prints the core
+// count the run used, so a defaulted width (0 selects 4) reads the same
+// as the explicit one.
+func TestReportHeaderNamesRunCores(t *testing.T) {
+	spec, ok := workload.ByName("Web-Zeus")
+	if !ok {
+		t.Fatal("workload missing")
+	}
+	for _, tc := range []struct {
+		cores int
+		want  string
+	}{
+		{0, "workload:   Web-Zeus (small scale, 4 cores)\n"},
+		{4, "workload:   Web-Zeus (small scale, 4 cores)\n"},
+		{2, "workload:   Web-Zeus (small scale, 2 cores)\n"},
+	} {
+		res := Run(spec, workload.ScaleSmall, Config{Cores: tc.cores, EventsPerCore: 2_000, Mechanism: Baseline()})
+		got, _, _ := strings.Cut(Report(res, nil, workload.ScaleSmall), "mechanism:")
+		if got != tc.want {
+			t.Errorf("cores=%d: header %q, want %q", tc.cores, got, tc.want)
+		}
+	}
 }

@@ -103,13 +103,6 @@ type JobRequest struct {
 	Scale  string `json:"scale,omitempty"`  // small|medium|full (default small)
 	Events uint64 `json:"events,omitempty"` // per-core budget (0 = scale default)
 	Cores  int    `json:"cores,omitempty"`  // CMP width (default 4)
-
-	// IntraParallelism shards event generation inside each simulation
-	// across that many producer goroutines (0/1 = serial). Like the
-	// engine's run-level parallelism it never changes output bytes, so
-	// it is deliberately excluded from the canonical key: submissions
-	// differing only here collapse onto one job.
-	IntraParallelism int `json:"intra_parallelism,omitempty"`
 }
 
 // Event is one progress notification on a job's stream.
@@ -251,8 +244,7 @@ func New(cfg Config) *Service {
 func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // Close stops admitting work, fails everything still queued, cancels
-// running jobs, waits for them to unwind, and releases the shared
-// engine's pooled simulation machines (the service owns its engine).
+// running jobs, and waits for them to unwind.
 func (s *Service) Close() {
 	s.cancel()
 	s.mu.Lock()
@@ -274,7 +266,6 @@ func (s *Service) Close() {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
-	s.eng.Close()
 }
 
 // job is one admitted submission and its progress log.
@@ -398,9 +389,6 @@ func canonicalize(req JobRequest) (JobRequest, workload.Scale, string, error) {
 	}
 	if req.Cores == 0 {
 		req.Cores = 4
-	}
-	if req.IntraParallelism < 0 {
-		return req, scale, "", fmt.Errorf("intra_parallelism %d: width must be non-negative", req.IntraParallelism)
 	}
 
 	if req.Workload != "" || req.Mechanism != "" {
@@ -611,7 +599,6 @@ func (s *Service) runSweep(j *job) (string, error) {
 	o := experiments.Options{
 		Context: s.ctx, Scale: j.scale, Events: j.req.Events, Cores: j.req.Cores,
 		Workloads: j.req.Workloads, Engine: s.eng,
-		IntraParallelism: j.req.IntraParallelism,
 	}
 	return experiments.RunSelected(j.req.Experiments, o, func(id string, done bool) {
 		if done {
@@ -633,13 +620,11 @@ func (s *Service) runSimulation(j *job) (string, error) {
 	}
 	jobs := []engine.Job{{Spec: spec, Scale: j.scale, Config: sim.Config{
 		Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: mech,
-		IntraParallelism: j.req.IntraParallelism,
 	}}}
 	withBaseline := j.req.Baseline && mech.Kind != sim.KindNone
 	if withBaseline {
 		jobs = append(jobs, engine.Job{Spec: spec, Scale: j.scale, Config: sim.Config{
 			Cores: j.req.Cores, EventsPerCore: j.req.Events, Mechanism: sim.Baseline(),
-			IntraParallelism: j.req.IntraParallelism,
 		}})
 	}
 	results := s.eng.RunAll(s.ctx, jobs)
@@ -650,7 +635,7 @@ func (s *Service) runSimulation(j *job) (string, error) {
 	if withBaseline {
 		base = &results[1]
 	}
-	return sim.Report(results[0], base, j.scale, j.req.Cores), nil
+	return sim.Report(results[0], base, j.scale), nil
 }
 
 // observe fans the engine's scheduling events out to every running job:

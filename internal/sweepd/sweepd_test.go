@@ -414,26 +414,6 @@ func TestCanonicalization(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", norm)
 	}
 
-	// IntraParallelism is an execution knob, not an output knob: it must
-	// never reach either key form.
-	for _, base := range []JobRequest{
-		{Workload: "Web-Zeus"},
-		{Experiments: []string{"fig1"}},
-	} {
-		_, _, serialKey, err := canonicalize(base)
-		if err != nil {
-			t.Fatalf("canonicalize %+v: %v", base, err)
-		}
-		intra := base
-		intra.IntraParallelism = 8
-		_, _, intraKey, err := canonicalize(intra)
-		if err != nil {
-			t.Fatalf("canonicalize %+v: %v", intra, err)
-		}
-		if serialKey != intraKey {
-			t.Errorf("intra_parallelism leaked into the canonical key: %q != %q", serialKey, intraKey)
-		}
-	}
 	for _, bad := range []JobRequest{
 		{Experiments: []string{"nope"}},
 		{Workloads: []string{"nope"}},
@@ -449,8 +429,7 @@ func TestCanonicalization(t *testing.T) {
 	}
 }
 
-// TestNegativeWidthsRejected: a negative core count or intra width is a
-// client error, answered with a 400 that names the field, never
+// TestNegativeWidthsRejected: a negative core count is a client error, answered with a 400 that names the field, never
 // silently replaced by a default.
 func TestNegativeWidthsRejected(t *testing.T) {
 	_, ts := startService(t, "", Config{Parallelism: 1})
@@ -461,8 +440,6 @@ func TestNegativeWidthsRejected(t *testing.T) {
 	}{
 		{"sweep-cores", `{"experiments":["fig1"],"cores":-1}`, "cores -1"},
 		{"sim-cores", `{"workload":"Web-Zeus","cores":-4}`, "cores -4"},
-		{"sweep-intra", `{"experiments":["fig1"],"intra_parallelism":-2}`, "intra_parallelism -2"},
-		{"sim-intra", `{"workload":"Web-Zeus","intra_parallelism":-1}`, "intra_parallelism -1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -481,10 +458,11 @@ func TestNegativeWidthsRejected(t *testing.T) {
 	}
 }
 
-// TestIntraSubmissionsDedupe: submissions differing only in
-// intra_parallelism join one job and see one byte-identical output —
-// the service-level proof that the knob stays out of job identity.
-func TestIntraSubmissionsDedupe(t *testing.T) {
+// TestLegacyFieldSubmissionsDedupe: a body from an older client that
+// still carries the retired intra_parallelism field is accepted, and the
+// field is ignored: the submission joins the identical job and sees its
+// byte-identical output.
+func TestLegacyFieldSubmissionsDedupe(t *testing.T) {
 	req := cheapSweep()
 	want, _ := localOutput(t, req)
 
@@ -494,22 +472,32 @@ func TestIntraSubmissionsDedupe(t *testing.T) {
 		t.Fatalf("serial output differs from local run:\n--- want\n%s\n--- got\n%s", want, serial.Output)
 	}
 
-	intra := req
-	intra.IntraParallelism = 4
-	c := NewClient(ts.URL, nil)
-	c.Name = "bob"
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	st, err := c.Submit(ctx, intra)
+	body := `{"experiments":["fig1"],"workloads":["Web-Zeus"],"events":10000,"intra_parallelism":4}`
+	hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("intra submit: %v", err)
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("X-Tifs-Client", "bob")
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy body: status %d, want 200 for a joined job (%s)", resp.StatusCode, raw)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("decode status: %v (%s)", err, raw)
 	}
 	if !st.Deduped || st.ID != serial.ID {
-		t.Errorf("intra variant created a new job (deduped=%v id=%s, want join of %s)",
+		t.Errorf("legacy body created a new job (deduped=%v id=%s, want join of %s)",
 			st.Deduped, st.ID, serial.ID)
 	}
 	if st.Output != want {
-		t.Errorf("deduped intra submission returned different output")
+		t.Errorf("deduped legacy submission returned different output")
 	}
 }
 

@@ -32,8 +32,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
-	"strconv"
 
 	"tifs/internal/analysis"
 	"tifs/internal/core"
@@ -82,28 +80,6 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 
 // ParseScale converts "small", "medium", or "full".
 func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
-
-// ParseIntraParallelism interprets the CLIs' -intra flag syntax: "off"
-// (and widths 0/1) runs serially, "on" and "auto" size the tier to the
-// machine (runtime.NumCPU()), and a bare integer sets the width
-// directly. Negative widths are rejected with a clear error instead of
-// silently running serial.
-func ParseIntraParallelism(val string) (int, error) {
-	switch val {
-	case "", "off":
-		return 0, nil
-	case "on", "auto":
-		return runtime.NumCPU(), nil
-	}
-	n, err := strconv.Atoi(val)
-	if err != nil {
-		return 0, fmt.Errorf("bad -intra %q: want off|on|auto or a non-negative integer", val)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("bad -intra %d: width must be non-negative", n)
-	}
-	return n, nil
-}
 
 // BuildWorkload instantiates a workload for the given core count.
 func BuildWorkload(spec WorkloadSpec, scale Scale, cores int) *Workload {
@@ -190,8 +166,10 @@ func Simulate(spec WorkloadSpec, scale Scale, cfg SimConfig) SimResult {
 
 // SimRunner is a reusable simulation machine: it recycles the caches,
 // predictors, TIFS structures, and workload executors between runs, so
-// steady-state repeated runs perform zero heap allocations. The returned
-// Result's PerCore and TIFS fields are valid until the next Run call. A
+// steady-state repeated runs perform zero heap allocations. A run is
+// one serial chain of core steps on the caller's goroutine; the runner
+// starts no goroutines and needs no release. The returned Result's
+// PerCore and TIFS fields are valid until the next Run call. A
 // SimRunner is not safe for concurrent use.
 type SimRunner = sim.Runner
 
@@ -449,9 +427,11 @@ func NetFaultTransport(spec string, inner http.RoundTripper) (http.RoundTripper,
 }
 
 // SimEngine is the concurrency-bounded, memoizing simulation scheduler
-// experiments run on. Supplying one engine to several experiment runs
-// (ExperimentOptions.Engine) shares memoized simulations between them;
-// its counters say how much work a run actually performed.
+// experiments run on. Its concurrency is across simulations: each runs
+// serially on one pooled SimRunner. Supplying one engine to several
+// experiment runs (ExperimentOptions.Engine) shares memoized
+// simulations between them; its counters say how much work a run
+// actually performed. An engine needs no release.
 type SimEngine = engine.Engine
 
 // NewSimEngine creates an engine running at most parallelism
@@ -506,10 +486,10 @@ func MechanismByName(name string) (Mechanism, error) {
 // SimReport renders the detailed single-simulation report tifssim
 // prints: cycles, IPC, fetch-stall share, coverage, the L2 traffic
 // ledger, and the speedup line when a next-line baseline accompanies
-// the run. The sweep service returns exactly these bytes for a
-// simulation-form job.
-func SimReport(r SimResult, baseline *SimResult, scale Scale, cores int) string {
-	return sim.Report(r, baseline, scale, cores)
+// the run. The header names the core count the run used. The sweep
+// service returns exactly these bytes for a simulation-form job.
+func SimReport(r SimResult, baseline *SimResult, scale Scale) string {
+	return sim.Report(r, baseline, scale)
 }
 
 // --- Sweep service -----------------------------------------------------

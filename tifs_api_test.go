@@ -2,7 +2,6 @@ package tifs_test
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -55,35 +54,6 @@ func TestSimulateAPI(t *testing.T) {
 	}
 	if r.TIFS == nil {
 		t.Error("TIFS stats missing")
-	}
-}
-
-func TestParseIntraParallelism(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		want    int
-		wantErr string
-	}{
-		{in: "", want: 0},
-		{in: "off", want: 0},
-		{in: "on", want: runtime.NumCPU()},
-		{in: "auto", want: runtime.NumCPU()},
-		{in: "0", want: 0},
-		{in: "1", want: 1},
-		{in: "8", want: 8},
-		{in: "-1", wantErr: "bad -intra -1: width must be non-negative"},
-		{in: "x", wantErr: `bad -intra "x": want off|on|auto or a non-negative integer`},
-	} {
-		got, err := tifs.ParseIntraParallelism(tc.in)
-		if tc.wantErr != "" {
-			if err == nil || err.Error() != tc.wantErr {
-				t.Errorf("ParseIntraParallelism(%q) error = %v, want %q", tc.in, err, tc.wantErr)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ParseIntraParallelism(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
-		}
 	}
 }
 

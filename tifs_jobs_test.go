@@ -160,7 +160,7 @@ func TestJobSimulationMatchesLocalReport(t *testing.T) {
 		{Spec: spec, Scale: tifs.ScaleSmall, Config: tifs.SimConfig{Cores: 4, EventsPerCore: 3_000, Mechanism: tifs.NextLineOnly()}},
 	}
 	results := tifs.SimulateAll(context.Background(), jobs, 2, nil)
-	want := tifs.SimReport(results[0], &results[1], tifs.ScaleSmall, 4)
+	want := tifs.SimReport(results[0], &results[1], tifs.ScaleSmall)
 
 	_, ts := startJobServer(t, t.TempDir())
 	c := tifs.DialJobService(ts.URL, nil)
