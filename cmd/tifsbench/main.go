@@ -180,12 +180,11 @@ func run() int {
 	o := tifs.ExperimentOptions{Context: ctx, Scale: scale, Events: *events, Cores: *cores, Parallelism: *parallel}
 	if *workloads != "" {
 		for _, w := range strings.Split(*workloads, ",") {
-			name := strings.TrimSpace(w)
-			if _, err := tifs.WorkloadByName(name); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 2
-			}
-			o.Workloads = append(o.Workloads, name)
+			o.Workloads = append(o.Workloads, strings.TrimSpace(w))
+		}
+		if err := tifs.CheckWorkloads(o.Workloads); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
 		}
 	}
 	// ids selects the sweep grid: nil = the full registry.

@@ -176,7 +176,7 @@ func TestHeuristicEmptyAndCoverage(t *testing.T) {
 func TestEvaluateHeuristicsOrderingOnWorkload(t *testing.T) {
 	spec, _ := workload.ByName("OLTP-DB2")
 	g := workload.Build(spec, workload.ScaleSmall, 1)
-	misses := trace.ExtractMisses(g.Sources()[0], 150_000, trace.ExtractorConfig{})
+	misses := trace.ExtractMisses(g.Execs[0], 150_000)
 	seq := trace.Blocks(misses)
 	if len(seq) < 500 {
 		t.Fatalf("only %d misses extracted", len(seq))
@@ -296,8 +296,8 @@ func TestIMLCoverageMonotonicSweep(t *testing.T) {
 	spec, _ := workload.ByName("Web-Zeus")
 	g := workload.Build(spec, workload.ScaleSmall, 2)
 	perCore := make([][]isa.Block, 2)
-	for c, src := range g.Sources() {
-		perCore[c] = trace.Blocks(trace.ExtractMisses(src, 80_000, trace.ExtractorConfig{}))
+	for c, x := range g.Execs {
+		perCore[c] = trace.Blocks(trace.ExtractMisses(x, 80_000))
 	}
 	pts := IMLCapacitySweep(perCore, []int{256, 2048, 16384})
 	if len(pts) != 3 {

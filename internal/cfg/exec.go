@@ -69,7 +69,8 @@ type threadState struct {
 }
 
 // Executor walks a Program emitting isa.BlockEvents. It is an infinite
-// isa.EventSource: Next always succeeds. One Executor models one core.
+// isa.BatchSource: NextBatch always fills its buffer. One Executor
+// models one core.
 type Executor struct {
 	prog *Program
 	cfg  ExecConfig
@@ -163,18 +164,9 @@ func (x *Executor) dispatchRoot() blockRef {
 	return blockRef{fn: x.prog.Func(root), idx: 0}
 }
 
-// Next implements isa.EventSource; it never returns ok == false.
-func (x *Executor) Next() (isa.BlockEvent, bool) {
-	if x.inTrap {
-		return x.stepTrap(), true
-	}
-	return x.stepThread(), true
-}
-
 // NextBatch implements isa.BatchSource: one dynamic dispatch fills a
-// whole buffer, and events are written in place instead of being copied
-// through the Next return path. The executor is infinite, so dst is
-// always filled completely.
+// whole buffer, with events written in place. The executor is infinite,
+// so dst is always filled completely.
 func (x *Executor) NextBatch(dst []isa.BlockEvent) int {
 	for i := range dst {
 		if x.inTrap {

@@ -23,17 +23,24 @@ func newTestExecutor(t testing.TB, seed string, threads int, trapMean int) (*Exe
 	return NewExecutor(prog, cfg), prog
 }
 
+// take pulls the next n events from the infinite executor in one batch.
+func take(t testing.TB, x *Executor, n int) []isa.BlockEvent {
+	t.Helper()
+	evs := make([]isa.BlockEvent, n)
+	if got := x.NextBatch(evs); got != n {
+		t.Fatalf("infinite source filled %d of %d events", got, n)
+	}
+	return evs
+}
+
 // TestExecutorStreamConsistency is the central executor invariant: each
 // event's recorded outcome must take fetch exactly to the next event's PC,
 // except across asynchronous trap redirects, which must be flagged CTTrap.
 func TestExecutorStreamConsistency(t *testing.T) {
 	x, _ := newTestExecutor(t, "consistency", 4, 2000)
-	prev, _ := x.Next()
-	for i := 0; i < 200000; i++ {
-		ev, ok := x.Next()
-		if !ok {
-			t.Fatal("infinite source returned ok=false")
-		}
+	evs := take(t, x, 200001)
+	prev := evs[0]
+	for i, ev := range evs[1:] {
 		if prev.Kind == isa.CTTrap || prev.Kind == isa.CTTrapReturn {
 			// Redirects carry their target explicitly.
 			if prev.Target != ev.PC {
@@ -52,10 +59,9 @@ func TestExecutorStreamConsistency(t *testing.T) {
 func TestExecutorDeterminism(t *testing.T) {
 	x1, _ := newTestExecutor(t, "det", 2, 5000)
 	x2, _ := newTestExecutor(t, "det", 2, 5000)
-	for i := 0; i < 50000; i++ {
-		e1, _ := x1.Next()
-		e2, _ := x2.Next()
-		if e1 != e2 {
+	s1, s2 := take(t, x1, 50000), take(t, x2, 50000)
+	for i, e1 := range s1 {
+		if e2 := s2[i]; e1 != e2 {
 			t.Fatalf("event %d differs: %+v vs %+v", i, e1, e2)
 		}
 	}
@@ -65,8 +71,7 @@ func TestExecutorTrapsOccur(t *testing.T) {
 	x, prog := newTestExecutor(t, "traps", 1, 1000)
 	sawTrap, sawTrapRet, sawSerializing := false, false, false
 	inKernel := false
-	for i := 0; i < 100000; i++ {
-		ev, _ := x.Next()
+	for _, ev := range take(t, x, 100000) {
 		switch ev.Kind {
 		case isa.CTTrap:
 			sawTrap = true
@@ -106,23 +111,17 @@ func TestExecutorTrapRedirectsToHandler(t *testing.T) {
 			handlerEntries[f.Entry] = true
 		}
 	}
-	for i := 0; i < 50000; i++ {
-		ev, _ := x.Next()
-		if ev.Kind == isa.CTTrap {
-			next, _ := x.Next()
-			if !handlerEntries[next.PC] {
-				t.Fatalf("trap target %v is not an OS function entry", next.PC)
-			}
-			i++
+	evs := take(t, x, 50001)
+	for i, ev := range evs[:len(evs)-1] {
+		if ev.Kind == isa.CTTrap && !handlerEntries[evs[i+1].PC] {
+			t.Fatalf("trap target %v is not an OS function entry", evs[i+1].PC)
 		}
 	}
 }
 
 func TestExecutorContextSwitches(t *testing.T) {
 	x, _ := newTestExecutor(t, "ctx", 8, 500)
-	for i := 0; i < 200000; i++ {
-		x.Next()
-	}
+	take(t, x, 200000)
 	if x.Stats().ContextSwitches == 0 {
 		t.Error("no context switches with 8 threads and csProb 0.5")
 	}
@@ -130,9 +129,7 @@ func TestExecutorContextSwitches(t *testing.T) {
 
 func TestExecutorSingleThreadNeverSwitches(t *testing.T) {
 	x, _ := newTestExecutor(t, "single", 1, 500)
-	for i := 0; i < 50000; i++ {
-		x.Next()
-	}
+	take(t, x, 50000)
 	if x.Stats().ContextSwitches != 0 {
 		t.Error("single-threaded executor recorded context switches")
 	}
@@ -140,9 +137,7 @@ func TestExecutorSingleThreadNeverSwitches(t *testing.T) {
 
 func TestExecutorTransactionsDispatch(t *testing.T) {
 	x, _ := newTestExecutor(t, "txn", 1, 0)
-	for i := 0; i < 100000; i++ {
-		x.Next()
-	}
+	take(t, x, 100000)
 	st := x.Stats()
 	if st.Transactions < 2 {
 		t.Errorf("only %d transactions dispatched", st.Transactions)
@@ -164,9 +159,7 @@ func TestExecutorRepetition(t *testing.T) {
 	// program size while the event count is much larger.
 	x, prog := newTestExecutor(t, "repeat", 1, 0)
 	distinct := make(map[isa.Addr]bool)
-	const n = 200000
-	for i := 0; i < n; i++ {
-		ev, _ := x.Next()
+	for _, ev := range take(t, x, 200000) {
 		distinct[ev.PC] = true
 	}
 	maxBlocks := 0
@@ -187,8 +180,7 @@ func TestExecutorCallStackBalance(t *testing.T) {
 	x, _ := newTestExecutor(t, "depth", 2, 2000)
 	depth := 0
 	maxDepth := 0
-	for i := 0; i < 200000; i++ {
-		ev, _ := x.Next()
+	for _, ev := range take(t, x, 200000) {
 		switch ev.Kind {
 		case isa.CTCall:
 			depth++
@@ -228,8 +220,7 @@ func TestExecutorPanicsOnBadConfig(t *testing.T) {
 func TestExecutorInnerLoopFlagged(t *testing.T) {
 	x, _ := newTestExecutor(t, "loops", 1, 0)
 	sawInner := false
-	for i := 0; i < 100000 && !sawInner; i++ {
-		ev, _ := x.Next()
+	for _, ev := range take(t, x, 100000) {
 		if ev.InnerLoop {
 			if ev.Kind != isa.CTBranch {
 				t.Fatalf("InnerLoop on %v event", ev.Kind)
@@ -238,6 +229,7 @@ func TestExecutorInnerLoopFlagged(t *testing.T) {
 				t.Fatalf("inner loop branch target %v is forward of %v", ev.Target, ev.PC)
 			}
 			sawInner = true
+			break
 		}
 	}
 	if !sawInner {
@@ -247,8 +239,9 @@ func TestExecutorInnerLoopFlagged(t *testing.T) {
 
 func BenchmarkExecutor(b *testing.B) {
 	x, _ := newTestExecutor(b, "bench", 4, 20000)
+	var buf [256]isa.BlockEvent
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Next()
+	for left := b.N; left > 0; left -= len(buf) {
+		x.NextBatch(buf[:min(left, len(buf))])
 	}
 }

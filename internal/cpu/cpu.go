@@ -4,7 +4,7 @@
 // attached (pluggable) instruction prefetcher, a hybrid branch predictor
 // charging misprediction refills, and a width-4 back end whose
 // data-side stalls are a calibrated per-instruction CPI adder
-// (DESIGN.md §2 explains the substitution).
+// (the README's "Model substitutions" explains the substitution).
 //
 // All prefetcher differentiation — timeliness, partial latency hiding,
 // bank contention — flows through the cycle accounting here.

@@ -10,6 +10,11 @@ import (
 
 // seqSource yields n sequential block-aligned events.
 func seqSource(pc isa.Addr, n int) *isa.SliceSource {
+	return isa.NewSliceSource(seqEvents(pc, n))
+}
+
+// seqEvents returns n sequential block-aligned events ending in a return.
+func seqEvents(pc isa.Addr, n int) []isa.BlockEvent {
 	evs := make([]isa.BlockEvent, n)
 	for i := range evs {
 		kind := isa.CTFallthrough
@@ -19,7 +24,7 @@ func seqSource(pc isa.Addr, n int) *isa.SliceSource {
 		evs[i] = isa.BlockEvent{PC: pc, Instrs: isa.InstrsPerBlock, Kind: kind, Taken: i == n-1, Target: pc}
 		pc = pc.Add(isa.InstrsPerBlock)
 	}
-	return isa.NewSliceSource(evs)
+	return evs
 }
 
 func newCore(t testing.TB, src isa.BatchSource, pf prefetch.Prefetcher) (*Core, *uncore.L2) {
@@ -83,19 +88,7 @@ func TestFetchStallsRecorded(t *testing.T) {
 
 func TestSecondPassHitsL1(t *testing.T) {
 	// Two passes over a small loop: second pass must be all L1 hits.
-	var evs []isa.BlockEvent
-	collect := func() {
-		src := seqSource(0x2000, 20)
-		for {
-			ev, ok := src.Next()
-			if !ok {
-				break
-			}
-			evs = append(evs, ev)
-		}
-	}
-	collect()
-	collect()
+	evs := append(seqEvents(0x2000, 20), seqEvents(0x2000, 20)...)
 	c, _ := newCore(t, isa.NewSliceSource(evs), nil)
 	for c.Step() {
 	}
@@ -208,7 +201,7 @@ func TestWindowExposedToPrefetcher(t *testing.T) {
 			if tc.budget > 0 && tc.budget < total {
 				total = tc.budget
 			}
-			stream := isa.Collect(seqSource(0x7000, tc.events), uint64(total))
+			stream := seqEvents(0x7000, tc.events)[:total]
 			const depth = 48
 			calls := 0
 			pf := &windowPeek{onWindow: func(w []isa.BlockEvent) {

@@ -423,7 +423,6 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 
 	e.notify(EventTraceStart, key)
 	gen := workload.Build(spec, scale, cores)
-	sources := gen.Sources()
 	recs := make([][]trace.MissRecord, cores)
 	var cancelled atomic.Bool
 	var wg sync.WaitGroup
@@ -438,7 +437,7 @@ func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workl
 				return
 			}
 			defer func() { <-e.sem }()
-			recs[i] = trace.ExtractMisses(sources[i], events, trace.ExtractorConfig{})
+			recs[i] = trace.ExtractMisses(gen.Execs[i], events)
 		}(i)
 	}
 	wg.Wait()

@@ -100,6 +100,27 @@ func (o Options) job(spec workload.Spec, m sim.Mechanism) engine.Job {
 	}
 }
 
+// CheckWorkloads rejects a workload restriction that names an unknown
+// workload or one workload twice. RunSelected and Grid apply it before
+// anything runs; without it an unknown name would silently shrink the
+// suite and a repeated one would count twice in every geomean.
+func CheckWorkloads(names []string) error {
+	seen := make(map[string]bool, len(names))
+	for _, name := range names {
+		if _, ok := workload.ByName(name); !ok {
+			return fmt.Errorf("unknown workload %q (have %v)", name, workload.Names())
+		}
+		if seen[name] {
+			return fmt.Errorf("workload %q listed twice", name)
+		}
+		seen[name] = true
+	}
+	return nil
+}
+
+// suite resolves the workload restriction. RunSelected and Grid have
+// validated it with CheckWorkloads; a direct figure call skips unknown
+// names.
 func (o Options) suite() []workload.Spec {
 	if len(o.Workloads) == 0 {
 		return workload.Suite()

@@ -90,11 +90,6 @@ func Fig13(o Options) ([]Fig13Row, string) {
 		"Fig. 13. Speedup over next-line prefetching")
 }
 
-// Comparison runs an arbitrary mechanism set against the baseline.
-func Comparison(o Options, mechs []sim.Mechanism, title string) ([]Fig13Row, string) {
-	return comparison(o, mechs, title)
-}
-
 // comparisonJobs enumerates a baseline-anchored comparison grid: for
 // each suite workload, the next-line baseline followed by every
 // mechanism under test (stride 1+len(mechs)). Fig13 and the speedup

@@ -87,6 +87,9 @@ func Registry() []Runner {
 // identical list, which is what makes content-addressed partitioning
 // sound across machines.
 func Grid(ids []string, o Options) ([]engine.Job, []engine.TraceJob, error) {
+	if err := CheckWorkloads(o.Workloads); err != nil {
+		return nil, nil, fmt.Errorf("experiments: %w", err)
+	}
 	if len(ids) == 0 {
 		ids = IDs()
 	}
@@ -149,8 +152,12 @@ type Progress func(id string, done bool)
 // several experiments runs once. A single id renders that experiment's
 // bare output — byte-identical to tifsbench -experiment <id>; several
 // (or all) render the "== id: description" sectioned concatenation. An
-// unknown id fails before anything runs.
+// unknown id or a bad workload restriction (CheckWorkloads) fails before
+// anything runs.
 func RunSelected(ids []string, o Options, progress Progress) (string, error) {
+	if err := CheckWorkloads(o.Workloads); err != nil {
+		return "", fmt.Errorf("experiments: %w", err)
+	}
 	runners := make([]Runner, 0, len(ids))
 	if len(ids) == 0 {
 		runners = Registry()

@@ -1,27 +1,17 @@
 package isa
 
-// EventSource yields a stream of dynamic basic-block events. Workload
-// executors, trace readers, and replay buffers all implement it; the
-// simulator and the offline analyses consume it.
-type EventSource interface {
-	// Next returns the next event. ok is false when the source is
-	// exhausted; infinite sources (live workload executors) never return
-	// false and are bounded by the caller.
-	Next() (ev BlockEvent, ok bool)
-}
-
-// BatchSource yields events a buffer at a time: NextBatch fills dst with
-// up to len(dst) events and returns how many were written (short only
-// when the source is exhausted). It is how the simulated core's fetch
-// unit refills its window, so every simulation source implements it
-// (workload executors, SliceSource); trace
-// extraction uses it when its source does. One call amortizes interface
-// dispatch and event copies across a whole refill.
+// BatchSource yields a stream of dynamic basic-block events a buffer at a
+// time: NextBatch fills dst with up to len(dst) events and returns how
+// many were written (short only when the source is exhausted). Workload
+// executors never run dry and are bounded by the caller. It is how the
+// simulated core's fetch unit refills its window and how trace
+// extraction pulls its stream; one call amortizes interface dispatch and
+// event copies across a whole buffer.
 type BatchSource interface {
 	NextBatch(dst []BlockEvent) int
 }
 
-// SliceSource adapts an in-memory event slice to an EventSource.
+// SliceSource adapts an in-memory event slice to a BatchSource.
 type SliceSource struct {
 	events []BlockEvent
 	pos    int
@@ -33,66 +23,9 @@ func NewSliceSource(events []BlockEvent) *SliceSource {
 	return &SliceSource{events: events}
 }
 
-// Next implements EventSource.
-func (s *SliceSource) Next() (BlockEvent, bool) {
-	if s.pos >= len(s.events) {
-		return BlockEvent{}, false
-	}
-	ev := s.events[s.pos]
-	s.pos++
-	return ev, true
-}
-
-// NextBatch implements BatchSource without per-event copies through the
-// EventSource return path.
+// NextBatch implements BatchSource.
 func (s *SliceSource) NextBatch(dst []BlockEvent) int {
 	n := copy(dst, s.events[s.pos:])
 	s.pos += n
 	return n
-}
-
-// Reset rewinds the source to the beginning.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Limit wraps an EventSource and stops after n events; it converts an
-// infinite executor into a finite trace of the desired length.
-type Limit struct {
-	src  EventSource
-	left uint64
-}
-
-// NewLimit returns a source yielding at most n events from src.
-func NewLimit(src EventSource, n uint64) *Limit {
-	return &Limit{src: src, left: n}
-}
-
-// Next implements EventSource.
-func (l *Limit) Next() (BlockEvent, bool) {
-	if l.left == 0 {
-		return BlockEvent{}, false
-	}
-	ev, ok := l.src.Next()
-	if !ok {
-		l.left = 0
-		return BlockEvent{}, false
-	}
-	l.left--
-	return ev, true
-}
-
-// Collect drains up to n events from src into a fresh slice. If n is 0 the
-// source is drained until exhaustion (do not pass 0 with infinite sources).
-func Collect(src EventSource, n uint64) []BlockEvent {
-	var out []BlockEvent
-	if n > 0 {
-		out = make([]BlockEvent, 0, n)
-	}
-	for n == 0 || uint64(len(out)) < n {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, ev)
-	}
-	return out
 }

@@ -423,10 +423,8 @@ func canonicalize(req JobRequest) (JobRequest, workload.Scale, string, error) {
 			return req, scale, "", fmt.Errorf("unknown experiment %q (have %v)", id, experiments.IDs())
 		}
 	}
-	for _, w := range req.Workloads {
-		if _, ok := workload.ByName(w); !ok {
-			return req, scale, "", fmt.Errorf("unknown workload %q (have %v)", w, workload.Names())
-		}
+	if err := experiments.CheckWorkloads(req.Workloads); err != nil {
+		return req, scale, "", err
 	}
 	key := fmt.Sprintf("sweep|%s|%s|%d|%d|%s",
 		strings.Join(req.Experiments, ","), req.Scale, req.Events, req.Cores,

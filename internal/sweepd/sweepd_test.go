@@ -417,6 +417,7 @@ func TestCanonicalization(t *testing.T) {
 	for _, bad := range []JobRequest{
 		{Experiments: []string{"nope"}},
 		{Workloads: []string{"nope"}},
+		{Workloads: []string{"OLTP-DB2", "OLTP-DB2"}},
 		{Workload: "nope"},
 		{Workload: "Web-Zeus", Mechanism: "nope"},
 		{Mechanism: "tifs-dedicated"},
@@ -426,6 +427,36 @@ func TestCanonicalization(t *testing.T) {
 		if _, _, _, err := canonicalize(bad); err == nil {
 			t.Errorf("request %+v canonicalized without error", bad)
 		}
+	}
+}
+
+// TestBadWorkloadListRejected: a sweep naming an unknown workload, or
+// one workload twice, is answered with a 400 at submission, before a job
+// exists.
+func TestBadWorkloadListRejected(t *testing.T) {
+	_, ts := startService(t, "", Config{Parallelism: 1})
+	for _, tc := range []struct {
+		name string
+		body string
+		want string
+	}{
+		{"unknown", `{"experiments":["fig13"],"workloads":["OLTP-DB3"]}`, `unknown workload "OLTP-DB3"`},
+		{"duplicate", `{"experiments":["fig13"],"workloads":["OLTP-DB2","OLTP-DB2"]}`, `workload "OLTP-DB2" listed twice`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			msg, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, msg)
+			}
+			if !strings.Contains(string(msg), tc.want) {
+				t.Errorf("error %q does not contain %q", msg, tc.want)
+			}
+		})
 	}
 }
 

@@ -9,23 +9,18 @@ import (
 	"tifs/internal/isa"
 )
 
-// Binary trace format: a short header followed by delta/varint-packed
-// records. PC and block numbers are delta-encoded against the previous
-// record (zigzag varint), which makes instruction traces compact: most
-// deltas are small.
+// Binary miss-trace format: a short header ("TIFS", version, stream
+// kind) followed by delta/varint-packed records. Block numbers and event
+// indices are delta-encoded against the previous record (zigzag varint
+// for blocks), which keeps traces compact: most deltas are small. The
+// result store persists miss traces in this format, so the header bytes
+// are frozen. Kind 1 stays unused: it named an event-stream format that
+// must be rejected, never misread as misses.
 const (
 	magic         = "TIFS"
 	formatVersion = 1
 
-	kindEvents byte = 1
 	kindMisses byte = 2
-)
-
-// event flag bits.
-const (
-	flagTaken       = 1 << 0
-	flagInnerLoop   = 1 << 1
-	flagSerializing = 1 << 2
 )
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
@@ -71,129 +66,6 @@ func putUvarint(w *bufio.Writer, buf []byte, v uint64) error {
 	_, err := w.Write(buf[:n])
 	return err
 }
-
-// EventWriter serializes BlockEvents.
-type EventWriter struct {
-	w      *bufio.Writer
-	buf    []byte
-	prevPC isa.Addr
-	count  uint64
-}
-
-// NewEventWriter starts an event stream on w.
-func NewEventWriter(w io.Writer) (*EventWriter, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeHeader(bw, kindEvents); err != nil {
-		return nil, err
-	}
-	return &EventWriter{w: bw, buf: make([]byte, binary.MaxVarintLen64)}, nil
-}
-
-// Write appends one event.
-func (ew *EventWriter) Write(ev isa.BlockEvent) error {
-	if err := putUvarint(ew.w, ew.buf, zigzag(int64(ev.PC)-int64(ew.prevPC))); err != nil {
-		return err
-	}
-	ew.prevPC = ev.PC
-	if err := putUvarint(ew.w, ew.buf, uint64(ev.Instrs)); err != nil {
-		return err
-	}
-	flags := byte(0)
-	if ev.Taken {
-		flags |= flagTaken
-	}
-	if ev.InnerLoop {
-		flags |= flagInnerLoop
-	}
-	if ev.Serializing {
-		flags |= flagSerializing
-	}
-	if err := ew.w.WriteByte(byte(ev.Kind)<<3 | flags); err != nil {
-		return err
-	}
-	// Target is meaningful for everything but pure fallthrough.
-	if ev.Kind != isa.CTFallthrough {
-		if err := putUvarint(ew.w, ew.buf, zigzag(int64(ev.Target)-int64(ev.PC))); err != nil {
-			return err
-		}
-	}
-	ew.count++
-	return nil
-}
-
-// Count returns the number of events written.
-func (ew *EventWriter) Count() uint64 { return ew.count }
-
-// Flush flushes buffered output; call it before closing the underlying
-// writer.
-func (ew *EventWriter) Flush() error { return ew.w.Flush() }
-
-// EventReader deserializes an event stream; it implements
-// isa.EventSource.
-type EventReader struct {
-	r      *bufio.Reader
-	prevPC isa.Addr
-	err    error
-}
-
-// NewEventReader opens an event stream from r.
-func NewEventReader(r io.Reader) (*EventReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br, kindEvents); err != nil {
-		return nil, err
-	}
-	return &EventReader{r: br}, nil
-}
-
-// Next implements isa.EventSource. The stream ends cleanly at EOF;
-// corruption is reported by Err.
-func (er *EventReader) Next() (isa.BlockEvent, bool) {
-	if er.err != nil {
-		return isa.BlockEvent{}, false
-	}
-	d, err := binary.ReadUvarint(er.r)
-	if err == io.EOF {
-		return isa.BlockEvent{}, false
-	}
-	if err != nil {
-		er.err = err
-		return isa.BlockEvent{}, false
-	}
-	var ev isa.BlockEvent
-	ev.PC = isa.Addr(int64(er.prevPC) + unzigzag(d))
-	er.prevPC = ev.PC
-
-	instrs, err := binary.ReadUvarint(er.r)
-	if err != nil {
-		er.err = fmt.Errorf("trace: truncated event: %w", err)
-		return isa.BlockEvent{}, false
-	}
-	ev.Instrs = int(instrs)
-
-	kb, err := er.r.ReadByte()
-	if err != nil {
-		er.err = fmt.Errorf("trace: truncated event: %w", err)
-		return isa.BlockEvent{}, false
-	}
-	ev.Kind = isa.CTKind(kb >> 3)
-	ev.Taken = kb&flagTaken != 0
-	ev.InnerLoop = kb&flagInnerLoop != 0
-	ev.Serializing = kb&flagSerializing != 0
-
-	if ev.Kind != isa.CTFallthrough {
-		td, err := binary.ReadUvarint(er.r)
-		if err != nil {
-			er.err = fmt.Errorf("trace: truncated event: %w", err)
-			return isa.BlockEvent{}, false
-		}
-		ev.Target = isa.Addr(int64(ev.PC) + unzigzag(td))
-	}
-	return ev, true
-}
-
-// Err returns the first decode error, if any (io.EOF is a clean end and
-// not reported).
-func (er *EventReader) Err() error { return er.err }
 
 // MissWriter serializes MissRecords.
 type MissWriter struct {

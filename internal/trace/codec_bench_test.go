@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"testing"
 
-	"tifs/internal/isa"
 	"tifs/internal/workload"
 )
 
-// BenchmarkTraceCodec measures encode+decode round trips of both stream
-// kinds over real workload-shaped data. The persistent result store
+// BenchmarkTraceCodec measures encode+decode round trips of the miss
+// codec over real workload-shaped data. The persistent result store
 // frames its miss-trace payloads with this codec, so regressions here
 // show up before they surface as store slowdowns.
 func BenchmarkTraceCodec(b *testing.B) {
@@ -19,63 +18,8 @@ func BenchmarkTraceCodec(b *testing.B) {
 	}
 	gen := workload.Build(spec, workload.ScaleSmall, 1)
 
-	b.Run("events", func(b *testing.B) {
-		const n = 20_000
-		gen.Reset()
-		src := gen.Sources()[0]
-		events := make([]isa.BlockEvent, n)
-		for i := range events {
-			ev, ok := src.Next()
-			if !ok {
-				b.Fatal("source exhausted")
-			}
-			events[i] = ev
-		}
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			ew, err := NewEventWriter(&buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, ev := range events {
-				if err := ew.Write(ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := ew.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			er, err := NewEventReader(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			decoded := 0
-			for {
-				ev, ok := er.Next()
-				if !ok {
-					break
-				}
-				if ev.Instrs < 0 {
-					b.Fatal("bad event")
-				}
-				decoded++
-			}
-			if er.Err() != nil {
-				b.Fatal(er.Err())
-			}
-			if decoded != n {
-				b.Fatalf("decoded %d of %d events", decoded, n)
-			}
-		}
-		b.ReportMetric(float64(uint64(b.N)*n)/b.Elapsed().Seconds(), "events/s")
-	})
-
 	b.Run("misses", func(b *testing.B) {
-		gen.Reset()
-		misses := ExtractMisses(gen.Sources()[0], 60_000, ExtractorConfig{})
+		misses := ExtractMisses(gen.Execs[0], 60_000)
 		if len(misses) == 0 {
 			b.Fatal("no misses extracted")
 		}

@@ -1,7 +1,7 @@
 // Package trace turns raw fetch-event streams into the L1 instruction
 // miss traces that TIFS and all offline analyses operate on, and provides
-// a compact binary serialization for storing and replaying both kinds of
-// streams.
+// the compact binary miss-trace codec the result store persists them
+// with.
 //
 // The paper's definition of a "miss" (Section 4.1) is an instruction
 // fetch that can be satisfied neither by the 64 KB 2-way L1-I cache nor
@@ -31,31 +31,18 @@ type MissRecord struct {
 	Sequential bool
 }
 
-// ExtractorConfig parameterizes miss extraction.
-type ExtractorConfig struct {
-	// L1 is the instruction cache geometry; zero value selects the
-	// paper's 64 KB 2-way.
-	L1 cache.Config
-	// NextLineDepth is how many sequential blocks ahead the next-line
-	// prefetcher keeps resident; zero selects the paper's 2.
-	NextLineDepth int
-}
-
-func (c ExtractorConfig) withDefaults() ExtractorConfig {
-	if c.L1.SizeBytes == 0 {
-		c.L1 = cache.Config{SizeBytes: 64 * 1024, Assoc: 2}
-	}
-	if c.NextLineDepth == 0 {
-		c.NextLineDepth = 2
-	}
-	return c
-}
+// The paper's miss filter: a 64 KB 2-way L1-I plus a next-line
+// prefetcher keeping the next nextLineDepth sequential blocks resident.
+const (
+	l1SizeBytes   = 64 * 1024
+	l1Assoc       = 2
+	nextLineDepth = 2
+)
 
 // Extractor filters a fetch-event stream into miss records. Feed it
 // events directly, or use Run to pull from a source. Misses are delivered
 // to the onMiss callback so large traces never need to be materialized.
 type Extractor struct {
-	cfg    ExtractorConfig
 	l1     *cache.Cache
 	onMiss func(MissRecord)
 
@@ -69,11 +56,9 @@ type Extractor struct {
 }
 
 // NewExtractor creates an extractor delivering misses to onMiss.
-func NewExtractor(cfg ExtractorConfig, onMiss func(MissRecord)) *Extractor {
-	cfg = cfg.withDefaults()
+func NewExtractor(onMiss func(MissRecord)) *Extractor {
 	return &Extractor{
-		cfg:    cfg,
-		l1:     cache.New(cfg.L1),
+		l1:     cache.New(cache.Config{SizeBytes: l1SizeBytes, Assoc: l1Assoc}),
 		onMiss: onMiss,
 	}
 }
@@ -98,9 +83,9 @@ func (e *Extractor) Feed(ev isa.BlockEvent) {
 				e.onMiss(rec)
 			}
 		}
-		// Next-line prefetcher: keep the next NextLineDepth sequential
+		// Next-line prefetcher: keep the next nextLineDepth sequential
 		// blocks resident. Fills via prefetch are not misses.
-		for d := 1; d <= e.cfg.NextLineDepth; d++ {
+		for d := 1; d <= nextLineDepth; d++ {
 			nb := b + isa.Block(d)
 			if !e.l1.Contains(nb) {
 				e.l1.Fill(nb)
@@ -116,27 +101,9 @@ func (e *Extractor) Feed(ev isa.BlockEvent) {
 
 // Run pulls up to maxEvents events from src through the extractor and
 // returns the number of events consumed (less than maxEvents only if the
-// source ends). Batch-capable sources are drained through one reused
-// event buffer — one dynamic dispatch per buffer instead of per event,
-// and no per-event copies through the Next return path.
-func (e *Extractor) Run(src isa.EventSource, maxEvents uint64) uint64 {
-	if bs, ok := src.(isa.BatchSource); ok {
-		return e.runBatched(bs, maxEvents)
-	}
-	var n uint64
-	for n < maxEvents {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		e.Feed(ev)
-		n++
-	}
-	return n
-}
-
-// runBatched is Run over an isa.BatchSource.
-func (e *Extractor) runBatched(bs isa.BatchSource, maxEvents uint64) uint64 {
+// source ends). Events are drained through one reused buffer: one
+// dynamic dispatch per buffer instead of per event.
+func (e *Extractor) Run(src isa.BatchSource, maxEvents uint64) uint64 {
 	var buf [256]isa.BlockEvent
 	var n uint64
 	for n < maxEvents {
@@ -144,7 +111,7 @@ func (e *Extractor) runBatched(bs isa.BatchSource, maxEvents uint64) uint64 {
 		if left := maxEvents - n; left < want {
 			want = left
 		}
-		got := bs.NextBatch(buf[:want])
+		got := src.NextBatch(buf[:want])
 		for i := 0; i < got; i++ {
 			e.Feed(buf[i])
 		}
@@ -174,9 +141,9 @@ func (e *Extractor) MPKE() float64 {
 // src and returns the collected miss records. The result slice is
 // preallocated from the event budget at a typical post-filter miss
 // density, so collection does not reallocate as the trace grows.
-func ExtractMisses(src isa.EventSource, maxEvents uint64, cfg ExtractorConfig) []MissRecord {
+func ExtractMisses(src isa.BatchSource, maxEvents uint64) []MissRecord {
 	out := make([]MissRecord, 0, missCapacity(maxEvents))
-	e := NewExtractor(cfg, func(m MissRecord) { out = append(out, m) })
+	e := NewExtractor(func(m MissRecord) { out = append(out, m) })
 	e.Run(src, maxEvents)
 	return out
 }

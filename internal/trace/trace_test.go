@@ -27,7 +27,7 @@ func TestExtractorNextLineHidesSequentialMisses(t *testing.T) {
 	// A long sequential run: the first block misses; the next-line
 	// prefetcher (depth 2) keeps all later blocks resident.
 	evs := seqEvents(0x10000, 50)
-	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)), ExtractorConfig{})
+	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)))
 	if len(misses) != 1 {
 		t.Fatalf("sequential run produced %d misses, want 1", len(misses))
 	}
@@ -44,7 +44,7 @@ func TestExtractorDiscontinuityMisses(t *testing.T) {
 		next := isa.Addr(0x100000 * (i + 2))
 		evs = append(evs, isa.BlockEvent{PC: pc, Instrs: 4, Kind: isa.CTJump, Taken: true, Target: next})
 	}
-	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)), ExtractorConfig{})
+	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)))
 	if len(misses) != 10 {
 		t.Fatalf("got %d misses, want 10", len(misses))
 	}
@@ -59,7 +59,7 @@ func TestExtractorSecondPassHitsL1(t *testing.T) {
 	// A small loop fits in L1: the second traversal misses nothing.
 	evs := seqEvents(0x20000, 20)
 	src := isa.NewSliceSource(append(append([]isa.BlockEvent{}, evs...), evs...))
-	e := NewExtractor(ExtractorConfig{}, nil)
+	e := NewExtractor(nil)
 	e.Run(src, uint64(2*len(evs)))
 	if e.Misses() != 1 {
 		t.Errorf("two passes over cacheable code: %d misses, want 1", e.Misses())
@@ -78,7 +78,7 @@ func TestExtractorBranchCounting(t *testing.T) {
 		{PC: pc.Add(12), Instrs: 4, Kind: isa.CTJump, Taken: true, Target: far},
 		{PC: far, Instrs: 4, Kind: isa.CTReturn, Taken: true, Target: pc},
 	}
-	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)), ExtractorConfig{})
+	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)))
 	if len(misses) != 2 {
 		t.Fatalf("got %d misses: %+v", len(misses), misses)
 	}
@@ -102,7 +102,7 @@ func TestExtractorSequentialFlag(t *testing.T) {
 		// 0x900000 block = 0x900000>>6; previous miss 0x800000>>6; not adjacent.
 		{PC: 0x900000, Instrs: 4, Kind: isa.CTReturn, Taken: true, Target: base},
 	}
-	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)), ExtractorConfig{})
+	misses := ExtractMisses(isa.NewSliceSource(evs), uint64(len(evs)))
 	for i, m := range misses {
 		if i > 0 && m.Block == misses[i-1].Block+1 && !m.Sequential {
 			t.Errorf("adjacent miss not flagged sequential")
@@ -114,7 +114,7 @@ func TestExtractorMultiBlockEvent(t *testing.T) {
 	// One basic block spanning 4 cache blocks in a cold cache: the first
 	// block misses, next-line covers the rest.
 	evs := []isa.BlockEvent{{PC: 0x50000, Instrs: 64, Kind: isa.CTReturn, Taken: true, Target: 0}}
-	e := NewExtractor(ExtractorConfig{}, nil)
+	e := NewExtractor(nil)
 	e.Feed(evs[0])
 	if e.Accesses() != 4 {
 		t.Errorf("Accesses = %d, want 4", e.Accesses())
@@ -128,8 +128,8 @@ func TestExtractorOnRealWorkload(t *testing.T) {
 	spec, _ := workload.ByName("OLTP-DB2")
 	g := workload.Build(spec, workload.ScaleSmall, 1)
 	var count int
-	e := NewExtractor(ExtractorConfig{}, func(m MissRecord) { count++ })
-	consumed := e.Run(g.Sources()[0], 120_000)
+	e := NewExtractor(func(m MissRecord) { count++ })
+	consumed := e.Run(g.Execs[0], 120_000)
 	if consumed != 120_000 {
 		t.Fatalf("consumed %d events", consumed)
 	}
@@ -148,8 +148,8 @@ func TestDSSMissesLessThanOLTP(t *testing.T) {
 	rate := func(name string) float64 {
 		spec, _ := workload.ByName(name)
 		g := workload.Build(spec, workload.ScaleSmall, 1)
-		e := NewExtractor(ExtractorConfig{}, nil)
-		e.Run(g.Sources()[0], 120_000)
+		e := NewExtractor(nil)
+		e.Run(g.Execs[0], 120_000)
 		return e.MPKE()
 	}
 	oltp := rate("OLTP-Oracle")
@@ -170,49 +170,6 @@ func TestDropSequentialAndBlocks(t *testing.T) {
 	blocks := Blocks(recs)
 	if len(blocks) != 3 || blocks[2] != 9 {
 		t.Errorf("Blocks = %v", blocks)
-	}
-}
-
-func TestEventCodecRoundTrip(t *testing.T) {
-	spec, _ := workload.ByName("Web-Zeus")
-	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(isa.NewLimit(g.Sources()[0], 20_000), 20_000)
-
-	var buf bytes.Buffer
-	w, err := NewEventWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if err := w.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != uint64(len(events)) {
-		t.Errorf("Count = %d", w.Count())
-	}
-
-	r, err := NewEventReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range events {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("stream ended at %d: %v", i, r.Err())
-		}
-		if got != want {
-			t.Fatalf("event %d: got %+v want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("stream should be exhausted")
-	}
-	if r.Err() != nil {
-		t.Errorf("Err = %v", r.Err())
 	}
 }
 
@@ -265,31 +222,74 @@ func TestMissCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// missStream and missStreamBytes pin the miss codec's wire format,
+// header included: the result store persists miss traces in it, so a
+// change here orphans every stored trace.
+var (
+	missStream = []MissRecord{
+		{Block: 100, Seq: 5, Branches: 3},
+		{Block: 101, Seq: 9, Branches: 0, Sequential: true},
+		{Block: 40, Seq: 300, Branches: 200},
+	}
+	missStreamBytes = []byte{
+		'T', 'I', 'F', 'S', 1, 2, // magic, version 1, kind 2 (misses)
+		0xc8, 0x01, 0x05, 0x03, 0x00, // block +100, seq +5, 3 branches
+		0x02, 0x04, 0x00, 0x01, // block +1, seq +4, 0 branches, sequential
+		0x79, 0xa3, 0x02, 0xc8, 0x01, 0x00, // block -61, seq +291, 200 branches
+	}
+)
+
+func TestMissCodecFixedBytes(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewMissWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range missStream {
+		if err := w.Write(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), missStreamBytes) {
+		t.Errorf("encoded % x\nwant    % x", buf.Bytes(), missStreamBytes)
+	}
+	got, err := ReadAllMisses(bytes.NewReader(missStreamBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(missStream) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(missStream))
+	}
+	for i := range got {
+		if got[i] != missStream[i] {
+			t.Errorf("record %d: got %+v want %+v", i, got[i], missStream[i])
+		}
+	}
+}
+
 func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewEventReader(bytes.NewReader([]byte("NOPE1234"))); err == nil {
+	if _, err := NewMissReader(bytes.NewReader([]byte("NOPE1234"))); err == nil {
 		t.Error("bad magic accepted")
 	}
 	if _, err := NewMissReader(bytes.NewReader([]byte{})); err == nil {
 		t.Error("empty stream accepted")
 	}
-	// Events header on a miss reader.
-	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	w.Flush()
-	if _, err := NewMissReader(&buf); err == nil {
+	// A kind-1 header (the retired event-stream format) on a miss reader.
+	if _, err := NewMissReader(bytes.NewReader([]byte{'T', 'I', 'F', 'S', 1, 1})); err == nil {
 		t.Error("kind mismatch accepted")
+	}
+	if _, err := NewMissReader(bytes.NewReader([]byte{'T', 'I', 'F', 'S', 2, 2})); err == nil {
+		t.Error("unknown version accepted")
 	}
 }
 
 func TestReaderReportsTruncation(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	w.Write(isa.BlockEvent{PC: 0x1000, Instrs: 8, Kind: isa.CTJump, Taken: true, Target: 0x2000})
-	w.Write(isa.BlockEvent{PC: 0x2000, Instrs: 8, Kind: isa.CTJump, Taken: true, Target: 0x3000})
-	w.Flush()
-	full := buf.Bytes()
-	// Cut mid-record (drop the last 2 bytes).
-	r, err := NewEventReader(bytes.NewReader(full[:len(full)-2]))
+	// The first two records, cut mid-way through the second.
+	cut := missStreamBytes[:len(missStreamBytes)-8]
+	r, err := NewMissReader(bytes.NewReader(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,38 +304,17 @@ func TestReaderReportsTruncation(t *testing.T) {
 		t.Error("truncation not reported")
 	}
 	if n != 1 {
-		t.Errorf("decoded %d events before truncation, want 1", n)
+		t.Errorf("decoded %d records before truncation, want 1", n)
 	}
 }
 
-func TestEventCodecCompact(t *testing.T) {
-	spec, _ := workload.ByName("DSS-Qry2")
-	g := workload.Build(spec, workload.ScaleSmall, 1)
-	events := isa.Collect(isa.NewLimit(g.Sources()[0], 50_000), 50_000)
-	var buf bytes.Buffer
-	w, _ := NewEventWriter(&buf)
-	for _, ev := range events {
-		w.Write(ev)
-	}
-	w.Flush()
-	perEvent := float64(buf.Len()) / float64(len(events))
-	// A naive fixed encoding is 8+8+8+1+... ~26 bytes; delta coding should
-	// be far smaller.
-	if perEvent > 12 {
-		t.Errorf("%.1f bytes/event, expected compact encoding", perEvent)
-	}
-}
-
-func TestLimitAndCollect(t *testing.T) {
+func TestRunStopsAtBudgetOrSourceEnd(t *testing.T) {
 	evs := seqEvents(0x1000, 10)
-	lim := isa.NewLimit(isa.NewSliceSource(evs), 3)
-	got := isa.Collect(lim, 100)
-	if len(got) != 3 {
-		t.Errorf("Collect(limit 3) = %d events", len(got))
+	if got := NewExtractor(nil).Run(isa.NewSliceSource(evs), 3); got != 3 {
+		t.Errorf("Run(budget 3) consumed %d events", got)
 	}
-	// Collect with n=0 drains fully.
-	got = isa.Collect(isa.NewSliceSource(evs), 0)
-	if len(got) != 10 {
-		t.Errorf("Collect(0) = %d events", len(got))
+	// A budget past the source's end drains it.
+	if got := NewExtractor(nil).Run(isa.NewSliceSource(evs), 100); got != 10 {
+		t.Errorf("Run(budget 100) over 10 events consumed %d", got)
 	}
 }

@@ -77,8 +77,9 @@ const (
 	TrafficIMLRead
 	TrafficIMLWrite
 	// TrafficData stands in for data-side reads and writebacks, which the
-	// simulator accounts synthetically (see DESIGN.md §2); it forms part
-	// of the Fig. 12 baseline-traffic denominator.
+	// simulator accounts synthetically (see the README's "Model
+	// substitutions"); it forms part of the Fig. 12 baseline-traffic
+	// denominator.
 	TrafficData
 	numTrafficKinds
 )

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"tifs/internal/cfg"
-	"tifs/internal/isa"
 	"tifs/internal/xrand"
 )
 
@@ -150,7 +149,7 @@ type Spec struct {
 	// data-side and dependency stalls in the timing model. It is
 	// calibrated so the next-line baseline's front-end stall share
 	// approximates the paper's reported 25-40% for OLTP and the small
-	// share for DSS (see DESIGN.md §2).
+	// share for DSS (see the README's "Model substitutions").
 	BackendCPI float64
 }
 
@@ -256,15 +255,6 @@ type Generated struct {
 	Roots []cfg.FuncID
 	// Handlers are the asynchronous trap handler functions.
 	Handlers []cfg.FuncID
-}
-
-// Sources returns the per-core event sources.
-func (g *Generated) Sources() []isa.EventSource {
-	out := make([]isa.EventSource, len(g.Execs))
-	for i, x := range g.Execs {
-		out[i] = x
-	}
-	return out
 }
 
 // Reset rewinds every executor to its initial seeded state, so the

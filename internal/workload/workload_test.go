@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"tifs/internal/cfg"
 	"tifs/internal/isa"
 )
 
@@ -67,6 +68,16 @@ func TestScaleDefaults(t *testing.T) {
 	}
 }
 
+// take pulls the next n events from an infinite executor in one batch.
+func take(t *testing.T, x *cfg.Executor, n int) []isa.BlockEvent {
+	t.Helper()
+	evs := make([]isa.BlockEvent, n)
+	if got := x.NextBatch(evs); got != n {
+		t.Fatalf("infinite source filled %d of %d events", got, n)
+	}
+	return evs
+}
+
 func TestBuildProducesRunnableCores(t *testing.T) {
 	spec, _ := ByName("Web-Zeus")
 	g := Build(spec, ScaleSmall, 4)
@@ -76,16 +87,10 @@ func TestBuildProducesRunnableCores(t *testing.T) {
 	if err := g.Program.Validate(); err != nil {
 		t.Fatalf("program invalid: %v", err)
 	}
-	for c, src := range g.Sources() {
-		prev, ok := src.Next()
-		if !ok {
-			t.Fatalf("core %d produced no events", c)
-		}
-		for i := 0; i < 20000; i++ {
-			ev, ok := src.Next()
-			if !ok {
-				t.Fatalf("core %d stream ended", c)
-			}
+	for c, x := range g.Execs {
+		evs := take(t, x, 20001)
+		prev := evs[0]
+		for i, ev := range evs[1:] {
 			if prev.Kind != isa.CTTrap && prev.Kind != isa.CTTrapReturn && prev.NextPC() != ev.PC {
 				t.Fatalf("core %d event %d: inconsistent stream", c, i)
 			}
@@ -98,11 +103,9 @@ func TestBuildDeterministicAcrossCalls(t *testing.T) {
 	spec, _ := ByName("DSS-Qry2")
 	g1 := Build(spec, ScaleSmall, 2)
 	g2 := Build(spec, ScaleSmall, 2)
-	s1, s2 := g1.Sources()[0], g2.Sources()[0]
-	for i := 0; i < 20000; i++ {
-		e1, _ := s1.Next()
-		e2, _ := s2.Next()
-		if e1 != e2 {
+	s1, s2 := take(t, g1.Execs[0], 20000), take(t, g2.Execs[0], 20000)
+	for i, e1 := range s1 {
+		if e1 != s2[i] {
 			t.Fatalf("event %d differs", i)
 		}
 	}
@@ -111,13 +114,11 @@ func TestBuildDeterministicAcrossCalls(t *testing.T) {
 func TestCoresAreDecorrelated(t *testing.T) {
 	spec, _ := ByName("OLTP-DB2")
 	g := Build(spec, ScaleSmall, 2)
-	s0, s1 := g.Sources()[0], g.Sources()[1]
-	same := 0
 	const n = 5000
-	for i := 0; i < n; i++ {
-		e0, _ := s0.Next()
-		e1, _ := s1.Next()
-		if e0.PC == e1.PC {
+	s0, s1 := take(t, g.Execs[0], n), take(t, g.Execs[1], n)
+	same := 0
+	for i, e0 := range s0 {
+		if e0.PC == s1[i].PC {
 			same++
 		}
 	}
@@ -181,12 +182,11 @@ func TestRegionsPresent(t *testing.T) {
 func TestOSCodeExecutes(t *testing.T) {
 	spec, _ := ByName("OLTP-DB2")
 	g := Build(spec, ScaleSmall, 1)
-	src := g.Sources()[0]
 	sawOS := false
-	for i := 0; i < 200000 && !sawOS; i++ {
-		ev, _ := src.Next()
+	for _, ev := range take(t, g.Execs[0], 200000) {
 		if ev.PC >= osBase {
 			sawOS = true
+			break
 		}
 	}
 	if !sawOS {

@@ -22,9 +22,9 @@
 //   - the sweep service and its job client (NewSweepService,
 //     DialJobService).
 //
-// See examples/quickstart for a three-call tour, and DESIGN.md for the
-// system inventory and the substitutions made for the paper's
-// full-system trace infrastructure.
+// See examples/quickstart for a three-call tour, and the README's "Model
+// substitutions" section for what replaces the paper's full-system
+// trace infrastructure.
 package tifs
 
 import (
@@ -78,6 +78,17 @@ func WorkloadByName(name string) (WorkloadSpec, error) {
 	return s, nil
 }
 
+// CheckWorkloads rejects a workload restriction
+// (ExperimentOptions.Workloads) that names an unknown workload or one
+// workload twice. RunExperiments, ExperimentGrid and the sweep service
+// apply the same check; a CLI calls it to fail before doing any work.
+func CheckWorkloads(names []string) error {
+	if err := experiments.CheckWorkloads(names); err != nil {
+		return fmt.Errorf("tifs: %w", err)
+	}
+	return nil
+}
+
 // ParseScale converts "small", "medium", or "full".
 func ParseScale(s string) (Scale, error) { return workload.ParseScale(s) }
 
@@ -97,7 +108,7 @@ type Block = isa.Block
 // ExtractMisses runs the miss filter over up to maxEvents events of one
 // core's fetch stream.
 func ExtractMisses(w *Workload, coreID int, maxEvents uint64) []MissRecord {
-	return trace.ExtractMisses(w.Sources()[coreID], maxEvents, trace.ExtractorConfig{})
+	return trace.ExtractMisses(w.Execs[coreID], maxEvents)
 }
 
 // MissBlocks projects miss records to their block numbers.

@@ -25,6 +25,33 @@ func TestWorkloadsAPI(t *testing.T) {
 	}
 }
 
+// TestBadWorkloadListRejected: an unknown or repeated workload name is
+// an error before anything runs, not an empty or double-counted table.
+func TestBadWorkloadListRejected(t *testing.T) {
+	for _, tc := range []struct {
+		workloads []string
+		want      string
+	}{
+		{[]string{"OLTP-DB3"}, `unknown workload "OLTP-DB3"`},
+		{[]string{"OLTP-DB2", "OLTP-DB2"}, `workload "OLTP-DB2" listed twice`},
+	} {
+		o := tifs.ExperimentOptions{Workloads: tc.workloads, Events: 1_000}
+		out, err := tifs.RunExperiments([]string{"fig13"}, o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunExperiments(%v): err %v, want %q (output %q)", tc.workloads, err, tc.want, out)
+		}
+		if _, err := tifs.ExperimentGrid([]string{"fig13"}, o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ExperimentGrid(%v): err %v, want %q", tc.workloads, err, tc.want)
+		}
+		if err := tifs.CheckWorkloads(tc.workloads); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckWorkloads(%v): err %v, want %q", tc.workloads, err, tc.want)
+		}
+	}
+	if err := tifs.CheckWorkloads([]string{"OLTP-DB2", "Web-Zeus"}); err != nil {
+		t.Errorf("valid list rejected: %v", err)
+	}
+}
+
 func TestMissExtractionAndAnalyses(t *testing.T) {
 	spec, _ := tifs.WorkloadByName("Web-Zeus")
 	w := tifs.BuildWorkload(spec, tifs.ScaleSmall, 1)

@@ -1,11 +1,16 @@
 // Command diag is a development diagnostic: it prints miss densities,
 // SEQUITUR categorization, and heuristic coverages for each workload so
 // the synthetic models can be calibrated against the paper's figures.
+//
+//	go run ./tools/diag [scale [events [workload]]]
+//
+// A malformed argument exits with status 2.
 package main
 
 import (
 	"fmt"
 	"os"
+	"strconv"
 
 	"tifs/internal/analysis"
 	"tifs/internal/trace"
@@ -19,29 +24,33 @@ func main() {
 		sc, err := workload.ParseScale(os.Args[1])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		scale = sc
 		events = scale.DefaultEvents()
 	}
 	if len(os.Args) > 2 {
-		fmt.Sscanf(os.Args[2], "%d", &events)
+		n, err := strconv.ParseUint(os.Args[2], 10, 64)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "events %q: want a non-negative integer\n", os.Args[2])
+			os.Exit(2)
+		}
+		events = n
 	}
 	suite := workload.Suite()
 	if len(os.Args) > 3 {
 		s2, ok := workload.ByName(os.Args[3])
 		if !ok {
-			fmt.Fprintln(os.Stderr, "unknown workload")
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "unknown workload %q (have %v)\n", os.Args[3], workload.Names())
+			os.Exit(2)
 		}
 		suite = []workload.Spec{s2}
 	}
 	for _, spec := range suite {
 		g := workload.Build(spec, scale, 1)
-		ext := trace.ExtractorConfig{}
 		var recs []trace.MissRecord
-		e := trace.NewExtractor(ext, func(m trace.MissRecord) { recs = append(recs, m) })
-		e.Run(g.Sources()[0], events)
+		e := trace.NewExtractor(func(m trace.MissRecord) { recs = append(recs, m) })
+		e.Run(g.Execs[0], events)
 		seq := trace.Blocks(recs)
 
 		cat := analysis.Categorize(seq)
