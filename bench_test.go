@@ -7,14 +7,14 @@
 // Benchmarks default to the small scale so the full suite runs in
 // minutes; set TIFS_BENCH_SCALE=medium or full for paper-sized runs.
 //
-// The experiment benchmarks run through the process-wide engine, which
-// memoizes simulations: configurations shared between figures run once
-// per process, and iterations after the first are cache hits. That is
-// the deliberate suite-level behaviour under test (the engine is how a
-// full regeneration stays fast), but it makes per-experiment ns/op
-// order- and iteration-dependent — use BenchmarkSimulatorThroughput and
-// BenchmarkMissExtraction, which bypass the engine, as the uncached
-// regression signals.
+// Each RunExperiments call builds its own engine, so every iteration of
+// an experiment benchmark computes all of that experiment's simulations,
+// miss traces and grammars afresh: ns/op is the cost of rendering that
+// one figure cold, with work shared only within it (fig13's next-line
+// baseline, fig3's grammars), independent of benchmark order. Workload
+// program images are cached process-wide, so iterations after the first
+// skip building them. BenchmarkSimulatorThroughput and
+// BenchmarkMissExtraction isolate the simulator and the extractor.
 package tifs_test
 
 import (

@@ -3,40 +3,41 @@
 // simulation — is independent, so an experiment's grid fans out over a
 // bounded worker pool and completes in makespan rather than sum time.
 //
-// The engine also deduplicates and memoizes: the next-line baseline that
-// fig1, fig13, and the ablations each re-simulate per workload runs once
-// and its Result is shared, and the per-core miss traces that fig3, fig5,
-// fig6, fig10, and fig11 all extract from the same workload build are
-// computed once. Simulations are pure functions of their (spec, scale,
-// config) key — all randomness is instance-seeded (internal/xrand), so
-// caching cannot change any value, and results are returned in submission
+// The engine also deduplicates and memoizes three kinds of work through
+// one single-flight memo: simulations (the next-line baseline that fig1,
+// fig13, and the ablations each need per workload runs once), per-core
+// miss traces (extracted once for fig3, fig5, fig6, fig10, and fig11),
+// and SEQUITUR grammars over those traces (built once for fig3, fig5,
+// and fig6). Every piece of work is a pure function of its canonical key
+// — all randomness is instance-seeded (internal/xrand) — so caching
+// cannot change any value, and results are returned in submission
 // order, which keeps experiment tables byte-identical whatever the
 // parallelism.
 //
-// Two tiers extend the memo beyond a single batch: workers draw pooled
-// sim.Runner machines, so repeated simulations reuse all machine state
-// and run allocation-free in steady state, and an optional persistent
-// store (SetBackend) carries results and miss traces across processes, so
-// a repeated CLI invocation skips every grid point it has already
-// simulated.
+// Each kind of work consults an optional persistent store (SetBackend)
+// before computing and writes back what it computed, so a repeated CLI
+// invocation skips every grid point it has already simulated. Workers
+// draw pooled sim.Runner machines, so repeated simulations reuse all
+// machine state and run allocation-free in steady state.
 //
 // Cancellation: every scheduling entry point takes a context.Context and
 // stops admitting work once it is cancelled. Cancellation aborts, it
-// does not poison — an entry whose simulation never ran is removed from
-// the memo, so a later call with a live context recomputes it; results
-// that did complete stay cached and stay correct. Callers must treat any
-// result returned after ctx is cancelled as invalid.
+// does not poison — a computation cancelled before it produced its whole
+// value forgets its key, and a caller still waiting on it with a live
+// context takes the computation over; values that did complete stay
+// cached and stay correct. Callers must treat any result returned after
+// their own ctx is cancelled as invalid.
 package engine
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"tifs/internal/cpu"
+	"tifs/internal/sequitur"
 	"tifs/internal/sim"
 	"tifs/internal/store"
 	"tifs/internal/trace"
@@ -74,20 +75,6 @@ func (t TraceJob) Key() string {
 	return fmt.Sprintf("%+v|%d|%d|%d", t.Spec, t.Scale, t.Cores, t.Events)
 }
 
-// simEntry is one memoized simulation; done is closed when res is valid
-// (or when the entry was aborted — aborted entries are removed from the
-// memo before done closes, so only in-flight waiters see them).
-type simEntry struct {
-	done chan struct{}
-	res  sim.Result
-}
-
-// traceEntry is one memoized miss-trace extraction.
-type traceEntry struct {
-	done chan struct{}
-	recs [][]trace.MissRecord
-}
-
 // Engine is a concurrency-bounded, memoizing simulation scheduler. The
 // zero value is not usable; construct with New. An Engine is safe for
 // concurrent use.
@@ -95,10 +82,11 @@ type Engine struct {
 	parallelism int
 	sem         chan struct{} // counting semaphore over running work
 
-	mu       sync.Mutex
-	sims     map[string]*simEntry
-	traces   map[string]*traceEntry
-	grammars map[string]*grammarEntry
+	// The three kinds of memoized work, each a single-flight memo keyed
+	// canonically (Job.Key, TraceJob.Key, grammarKey).
+	sims     *memo[sim.Result]
+	traces   *memo[[][]trace.MissRecord]
+	grammars *memo[[]*sequitur.Snapshot]
 
 	// store is the optional persistent second memo tier: keys missing
 	// from the in-process memo are looked up there before simulating,
@@ -112,6 +100,7 @@ type Engine struct {
 	// concurrently running job); a pooled steady-state run allocates
 	// nothing. A plain free-list guarded by mu rather than sync.Pool,
 	// which a garbage collection may empty.
+	mu         sync.Mutex
 	runnerPool []*sim.Runner
 
 	// obs, when set, receives scheduling notifications (see Observer).
@@ -165,9 +154,9 @@ func New(parallelism int) *Engine {
 	return &Engine{
 		parallelism: parallelism,
 		sem:         make(chan struct{}, parallelism),
-		sims:        map[string]*simEntry{},
-		traces:      map[string]*traceEntry{},
-		grammars:    map[string]*grammarEntry{},
+		sims:        newMemo[sim.Result](),
+		traces:      newMemo[[][]trace.MissRecord](),
+		grammars:    newMemo[[]*sequitur.Snapshot](),
 	}
 }
 
@@ -223,119 +212,92 @@ func (e *Engine) putRunner(r *sim.Runner) {
 // Deprecated: an Engine needs no release; drop the call.
 func (e *Engine) Close() {}
 
-var (
-	defaultOnce   sync.Once
-	defaultEngine *Engine
-)
-
-// Default returns the process-wide engine at GOMAXPROCS parallelism.
-// Experiment runners share it unless given an explicit engine, so a full
-// suite run (tifsbench -experiment all, the benchmark suite) simulates
-// each shared configuration exactly once.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEngine = New(0) })
-	return defaultEngine
-}
-
-// Run executes one job, deduplicating against identical in-flight or
-// completed runs. The caller blocks until the result is available, or
-// until ctx is cancelled — then the zero Result returns immediately and
-// the job, if it never started, is forgotten rather than poisoned.
-func (e *Engine) Run(ctx context.Context, job Job) sim.Result {
-	return e.wait(ctx, e.start(ctx, job))
-}
-
 // RunAll executes a batch of jobs across the worker pool and returns the
 // results in job order. Duplicate keys within the batch (and against any
 // earlier run) are simulated only once. If ctx is cancelled mid-batch,
 // unstarted jobs are abandoned and their slots hold the zero Result.
 func (e *Engine) RunAll(ctx context.Context, jobs []Job) []sim.Result {
-	entries := make([]*simEntry, len(jobs))
-	for i, j := range jobs {
-		entries[i] = e.start(ctx, j)
-	}
 	out := make([]sim.Result, len(jobs))
-	for i, en := range entries {
-		out[i] = e.wait(ctx, en)
-	}
+	fanOut(len(jobs), func(i int) {
+		job, key := jobs[i], jobs[i].Key()
+		res := e.sims.do(ctx, key, func(ctx context.Context) (sim.Result, bool) {
+			return e.simulate(ctx, key, job)
+		})
+		// Cached results are shared between callers, so the slices and
+		// pointers inside must not alias across them.
+		out[i] = copyResult(res)
+	})
 	return out
 }
 
-// start launches (or joins) the simulation for job and returns its entry.
-func (e *Engine) start(ctx context.Context, job Job) *simEntry {
-	key := job.Key()
-	e.mu.Lock()
-	if en, ok := e.sims[key]; ok {
-		e.mu.Unlock()
-		return en
+// simulate computes one job under a worker slot: the store lookup too,
+// which bounds a remote store's concurrent GETs by the worker count.
+func (e *Engine) simulate(ctx context.Context, key string, job Job) (sim.Result, bool) {
+	if !e.acquire(ctx) {
+		return sim.Result{}, false
 	}
-	en := &simEntry{done: make(chan struct{})}
-	e.sims[key] = en
-	e.mu.Unlock()
-
-	go func() {
-		select {
-		case e.sem <- struct{}{}:
-		case <-ctx.Done():
-			e.abortSim(key, en)
-			return
+	defer e.release()
+	if ctx.Err() != nil {
+		// Cancelled while queued: nothing ran.
+		return sim.Result{}, false
+	}
+	if e.store != nil {
+		if res, ok := e.store.GetResult(key); ok {
+			e.storeHits.Add(1)
+			e.notify(EventStoreHit, key)
+			return res, true
 		}
-		defer func() { <-e.sem }()
-		if ctx.Err() != nil {
-			// Cancelled while queued: nothing ran, so the key must not
-			// be remembered as done.
-			e.abortSim(key, en)
-			return
-		}
-		if e.store != nil {
-			if res, ok := e.store.GetResult(key); ok {
-				e.storeHits.Add(1)
-				en.res = res
-				close(en.done)
-				e.notify(EventStoreHit, key)
-				return
-			}
-		}
-		e.runs.Add(1)
-		e.notify(EventSimStart, key)
-		r := e.runner()
-		// The pooled runner reuses its result buffers next run, so the
-		// memoized copy must own its memory.
-		en.res = copyResult(r.Run(job.Spec, job.Scale, job.Config))
-		e.putRunner(r)
-		if e.store != nil {
-			e.store.PutResult(key, en.res)
-		}
-		close(en.done)
-		e.notify(EventSimDone, key)
-	}()
-	return en
+	}
+	e.runs.Add(1)
+	e.notify(EventSimStart, key)
+	r := e.runner()
+	// The pooled runner reuses its result buffers next run, so the
+	// memoized copy must own its memory.
+	res := copyResult(r.Run(job.Spec, job.Scale, job.Config))
+	e.putRunner(r)
+	if e.store != nil {
+		e.store.PutResult(key, res)
+	}
+	e.notify(EventSimDone, key)
+	return res, true
 }
 
-// abortSim unwinds a memo entry whose simulation never ran: the key is
-// deleted first, so no new caller can join, then done is closed to
-// release the waiters already parked on it (they observe the zero
-// Result, which cancelled callers must discard anyway).
-func (e *Engine) abortSim(key string, en *simEntry) {
-	e.mu.Lock()
-	if cur, ok := e.sims[key]; ok && cur == en {
-		delete(e.sims, key)
-	}
-	e.mu.Unlock()
-	close(en.done)
-}
-
-// wait blocks for an entry and returns a defensive copy: cached results
-// are shared between callers, so the slices and pointers inside must not
-// alias across them. A cancelled ctx unblocks immediately with the zero
-// Result.
-func (e *Engine) wait(ctx context.Context, en *simEntry) sim.Result {
+// acquire takes a worker slot, or reports false once ctx is cancelled.
+func (e *Engine) acquire(ctx context.Context) bool {
 	select {
-	case <-en.done:
-		return copyResult(en.res)
+	case e.sem <- struct{}{}:
+		return true
 	case <-ctx.Done():
-		return sim.Result{}
+		return false
 	}
+}
+
+func (e *Engine) release() { <-e.sem }
+
+// fanOut runs f(0), ..., f(n-1) concurrently and waits for all of them.
+func fanOut(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// perCore runs f(0), ..., f(n-1) concurrently, each under a worker slot,
+// and reports whether the whole set ran with ctx live. A false result
+// means some cores may not have run: the caller must discard the set.
+func (e *Engine) perCore(ctx context.Context, n int, f func(i int)) bool {
+	fanOut(n, func(i int) {
+		if e.acquire(ctx) {
+			defer e.release()
+			f(i)
+		}
+	})
+	return ctx.Err() == nil
 }
 
 // copyResult clones the result's reference fields.
@@ -357,100 +319,36 @@ func copyResult(r sim.Result) sim.Result {
 // tests use it to prove a sweep's shard plan covers exactly the work the
 // experiments perform.
 func (e *Engine) Keys() (sims, traces []string) {
-	e.mu.Lock()
-	for k := range e.sims {
-		sims = append(sims, k)
-	}
-	for k := range e.traces {
-		traces = append(traces, k)
-	}
-	e.mu.Unlock()
-	sort.Strings(sims)
-	sort.Strings(traces)
-	return sims, traces
+	return e.sims.keys(), e.traces.keys()
 }
 
-// ExtractTraces is MissTraces keyed by a TraceJob, for callers that
-// enumerate extraction work the same way they enumerate simulations.
-func (e *Engine) ExtractTraces(ctx context.Context, t TraceJob) [][]trace.MissRecord {
-	return e.MissTraces(ctx, t.Spec, t.Scale, t.Cores, t.Events)
-}
-
-// MissTraces returns the per-core filtered L1-I miss traces for a
+// ExtractTraces returns the per-core filtered L1-I miss traces for a
 // workload build — the input of every offline analysis experiment —
 // extracting each core's trace concurrently and memoizing the whole set.
 // Callers must treat the returned records as read-only; they are shared.
 // A cancelled ctx returns nil; a partially extracted set is discarded,
 // not memoized.
-func (e *Engine) MissTraces(ctx context.Context, spec workload.Spec, scale workload.Scale, cores int, events uint64) [][]trace.MissRecord {
-	if ctx.Err() != nil {
-		return nil
-	}
-	key := TraceJob{Spec: spec, Scale: scale, Cores: cores, Events: events}.Key()
-	e.mu.Lock()
-	if en, ok := e.traces[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-en.done:
-			return en.recs
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	en := &traceEntry{done: make(chan struct{})}
-	e.traces[key] = en
-	e.mu.Unlock()
-
-	abort := func() [][]trace.MissRecord {
-		e.mu.Lock()
-		if cur, ok := e.traces[key]; ok && cur == en {
-			delete(e.traces, key)
-		}
-		e.mu.Unlock()
-		close(en.done)
-		return nil
-	}
-
-	if e.store != nil {
-		if recs, ok := e.store.GetMissTraces(key); ok && len(recs) == cores {
-			e.storeHits.Add(1)
-			en.recs = recs
-			close(en.done)
-			e.notify(EventStoreHit, key)
-			return en.recs
-		}
-	}
-
-	e.notify(EventTraceStart, key)
-	gen := workload.Build(spec, scale, cores)
-	recs := make([][]trace.MissRecord, cores)
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < cores; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				cancelled.Store(true)
-				return
+func (e *Engine) ExtractTraces(ctx context.Context, t TraceJob) [][]trace.MissRecord {
+	key := t.Key()
+	recs := e.traces.do(ctx, key, func(ctx context.Context) ([][]trace.MissRecord, bool) {
+		if e.store != nil {
+			if recs, ok := e.store.GetMissTraces(key); ok && len(recs) == t.Cores {
+				e.storeHits.Add(1)
+				e.notify(EventStoreHit, key)
+				return recs, true
 			}
-			defer func() { <-e.sem }()
-			recs[i] = trace.ExtractMisses(gen.Execs[i], events)
-		}(i)
-	}
-	wg.Wait()
-	if cancelled.Load() || ctx.Err() != nil {
-		// A partial set must not be memoized or stored: the next caller
-		// with a live context recomputes all cores.
-		return abort()
-	}
-	en.recs = recs
-	if e.store != nil {
-		e.store.PutMissTraces(key, en.recs)
-	}
-	close(en.done)
-	e.notify(EventTraceDone, key)
-	return en.recs
+		}
+		e.notify(EventTraceStart, key)
+		gen := workload.Build(t.Spec, t.Scale, t.Cores)
+		recs := make([][]trace.MissRecord, t.Cores)
+		if !e.perCore(ctx, t.Cores, func(i int) { recs[i] = trace.ExtractMisses(gen.Execs[i], t.Events) }) {
+			return nil, false
+		}
+		if e.store != nil {
+			e.store.PutMissTraces(key, recs)
+		}
+		e.notify(EventTraceDone, key)
+		return recs, true
+	})
+	return recs
 }

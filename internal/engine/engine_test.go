@@ -71,7 +71,7 @@ func TestDuplicateJobsSimulateOnce(t *testing.T) {
 		}
 	}
 	// A later submission of the same job is also a memo hit.
-	e.Run(context.Background(), j)
+	e.RunAll(context.Background(), []Job{j})
 	if got := e.SimulationsRun(); got != 1 {
 		t.Errorf("re-run after completion ran %d simulations, want 1", got)
 	}
@@ -80,8 +80,8 @@ func TestDuplicateJobsSimulateOnce(t *testing.T) {
 func TestCachedResultsDoNotAlias(t *testing.T) {
 	e := New(2)
 	j := job(spec(t, "DSS-Qry2"), sim.TIFS(core.VirtualizedConfig()))
-	a := e.Run(context.Background(), j)
-	b := e.Run(context.Background(), j)
+	a := e.RunAll(context.Background(), []Job{j})[0]
+	b := e.RunAll(context.Background(), []Job{j})[0]
 	if a.TIFS == nil || b.TIFS == nil {
 		t.Fatal("TIFS stats missing")
 	}
@@ -90,7 +90,7 @@ func TestCachedResultsDoNotAlias(t *testing.T) {
 	}
 	a.PerCore[0].Cycles = 0
 	a.TIFS.IndexLookups = 0
-	c := e.Run(context.Background(), j)
+	c := e.RunAll(context.Background(), []Job{j})[0]
 	if c.PerCore[0].Cycles == 0 || c.TIFS.IndexLookups == 0 {
 		t.Error("mutating a returned result corrupted the cache")
 	}
@@ -144,8 +144,9 @@ func TestStoreSecondTier(t *testing.T) {
 	}
 	e1 := New(2)
 	e1.SetBackend(st1)
+	tj := TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 5_000}
 	cold := e1.RunAll(context.Background(), jobs)
-	coldTraces := e1.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
+	coldTraces := e1.ExtractTraces(context.Background(), tj)
 	if got := e1.SimulationsRun(); got != 3 {
 		t.Fatalf("cold engine ran %d simulations, want 3", got)
 	}
@@ -162,7 +163,7 @@ func TestStoreSecondTier(t *testing.T) {
 	e2 := New(2)
 	e2.SetBackend(st2)
 	warm := e2.RunAll(context.Background(), jobs)
-	warmTraces := e2.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 5_000)
+	warmTraces := e2.ExtractTraces(context.Background(), tj)
 	if got := e2.SimulationsRun(); got != 0 {
 		t.Errorf("warm engine ran %d simulations, want 0", got)
 	}
@@ -185,8 +186,9 @@ func TestStoreSecondTier(t *testing.T) {
 func TestMissTracesMemoized(t *testing.T) {
 	e := New(4)
 	oltp := spec(t, "OLTP-DB2")
-	a := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
-	b := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
+	tj := TraceJob{Spec: oltp, Scale: workload.ScaleSmall, Cores: 4, Events: 10_000}
+	a := e.ExtractTraces(context.Background(), tj)
+	b := e.ExtractTraces(context.Background(), tj)
 	if len(a) != 4 {
 		t.Fatalf("got %d cores", len(a))
 	}
@@ -213,7 +215,7 @@ func TestEngineClose(t *testing.T) {
 	c.Config.EventsPerCore = 9_000 // a fresh key, so it really simulates
 	var got []sim.Result
 	for i, j := range []Job{a, b, c} {
-		got = append(got, e.Run(context.Background(), j))
+		got = append(got, e.RunAll(context.Background(), []Job{j})[0])
 		if n := len(e.runnerPool); n != 1 {
 			t.Fatalf("run %d: runner pool holds %d runners, want 1", i, n)
 		}

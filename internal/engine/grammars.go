@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"tifs/internal/sequitur"
 	"tifs/internal/trace"
@@ -18,12 +16,6 @@ import (
 // memoizes the per-core snapshots in-process and persists them in the
 // store under the miss-trace key plus the analysis variant, so a warm
 // rerun pays neither the simulation nor the SEQUITUR pass.
-
-// grammarEntry is one memoized per-core grammar snapshot set.
-type grammarEntry struct {
-	done  chan struct{}
-	snaps []*sequitur.Snapshot
-}
 
 // Grammar observer event kinds (see Observer).
 const (
@@ -50,66 +42,24 @@ func (e *Engine) GrammarBuilds() uint64 { return e.grammarBuilds.Load() }
 // read-only; they are shared. A cancelled ctx returns nil and leaves
 // the key recomputable.
 func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) []*sequitur.Snapshot {
-	if ctx.Err() != nil {
-		return nil
-	}
 	key := grammarKey(t, dropSequential)
-	e.mu.Lock()
-	if en, ok := e.grammars[key]; ok {
-		e.mu.Unlock()
-		select {
-		case <-en.done:
-			return en.snaps
-		case <-ctx.Done():
-			return nil
-		}
-	}
-	en := &grammarEntry{done: make(chan struct{})}
-	e.grammars[key] = en
-	e.mu.Unlock()
-
-	abort := func() []*sequitur.Snapshot {
-		e.mu.Lock()
-		if cur, ok := e.grammars[key]; ok && cur == en {
-			delete(e.grammars, key)
-		}
-		e.mu.Unlock()
-		close(en.done)
-		return nil
-	}
-
-	if e.store != nil {
-		if snaps, ok := e.store.GetGrammars(key); ok && len(snaps) == t.Cores {
-			e.storeHits.Add(1)
-			en.snaps = snaps
-			close(en.done)
-			e.notify(EventStoreHit, key)
-			return en.snaps
-		}
-	}
-
-	// The traces come from the memoized tier below; a store hit there
-	// still spares the simulation even when the grammar must be built.
-	recs := e.MissTraces(ctx, t.Spec, t.Scale, t.Cores, t.Events)
-	if recs == nil || ctx.Err() != nil {
-		return abort()
-	}
-
-	e.notify(EventGrammarStart, key)
-	snaps := make([]*sequitur.Snapshot, len(recs))
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for i := range recs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				cancelled.Store(true)
-				return
+	snaps := e.grammars.do(ctx, key, func(ctx context.Context) ([]*sequitur.Snapshot, bool) {
+		if e.store != nil {
+			if snaps, ok := e.store.GetGrammars(key); ok && len(snaps) == t.Cores {
+				e.storeHits.Add(1)
+				e.notify(EventStoreHit, key)
+				return snaps, true
 			}
-			defer func() { <-e.sem }()
+		}
+		// The traces come from the memoized tier below; a store hit there
+		// still spares the simulation even when the grammar must be built.
+		recs := e.ExtractTraces(ctx, t)
+		if recs == nil {
+			return nil, false
+		}
+		e.notify(EventGrammarStart, key)
+		snaps := make([]*sequitur.Snapshot, len(recs))
+		if !e.perCore(ctx, len(recs), func(i int) {
 			rc := recs[i]
 			if dropSequential {
 				rc = trace.DropSequential(rc)
@@ -119,19 +69,15 @@ func (e *Engine) Grammars(ctx context.Context, t TraceJob, dropSequential bool) 
 				g.Append(uint64(r.Block))
 			}
 			snaps[i] = g.Snapshot()
-		}(i)
-	}
-	wg.Wait()
-	if cancelled.Load() || ctx.Err() != nil {
-		// A partial set must not be memoized or stored.
-		return abort()
-	}
-	e.grammarBuilds.Add(1)
-	en.snaps = snaps
-	if e.store != nil {
-		e.store.PutGrammars(key, snaps)
-	}
-	close(en.done)
-	e.notify(EventGrammarDone, key)
-	return en.snaps
+		}) {
+			return nil, false
+		}
+		e.grammarBuilds.Add(1)
+		if e.store != nil {
+			e.store.PutGrammars(key, snaps)
+		}
+		e.notify(EventGrammarDone, key)
+		return snaps, true
+	})
+	return snaps
 }

@@ -49,7 +49,7 @@ func TestGrammarsMemoized(t *testing.T) {
 		t.Errorf("GrammarBuilds after variant = %d, want 2", got)
 	}
 
-	recs := e.MissTraces(context.Background(), oltp, workload.ScaleSmall, 4, 10_000)
+	recs := e.ExtractTraces(context.Background(), tj)
 	for i := range recs {
 		if want := grammarFromTraces(recs[i], false); !reflect.DeepEqual(full[i], want) {
 			t.Errorf("core %d full grammar diverges from direct SEQUITUR pass", i)

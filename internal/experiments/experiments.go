@@ -44,10 +44,10 @@ type Options struct {
 	// results are assembled in submission order and every simulation is
 	// deterministic in its configuration.
 	Parallelism int
-	// Engine overrides the simulation scheduler (nil selects the
-	// process-wide engine when Parallelism is 0 and Backend is nil, or a
-	// fresh engine otherwise). Supplying one engine across several
-	// experiment runs shares its memoized results between them.
+	// Engine is the simulation scheduler. Supplying one engine across
+	// several experiment runs shares its memoized results between them;
+	// nil means a fresh engine per RunSelected or figure call, built from
+	// Parallelism and Backend, so work is shared within that call only.
 	Engine *engine.Engine
 	// Backend attaches a persistent result store — the local store or a
 	// remote client: simulations and miss traces already cached there
@@ -63,6 +63,10 @@ func (o Options) withDefaults() Options {
 	if o.Cores == 0 {
 		o.Cores = 4
 	}
+	if o.Engine == nil {
+		o.Engine = engine.New(o.Parallelism)
+		o.Engine.SetBackend(o.Backend)
+	}
 	return o
 }
 
@@ -72,19 +76,6 @@ func (o Options) ctx() context.Context {
 		return o.Context
 	}
 	return context.Background()
-}
-
-// engine returns the scheduler for this run.
-func (o Options) engine() *engine.Engine {
-	if o.Engine != nil {
-		return o.Engine
-	}
-	if o.Parallelism != 0 || o.Backend != nil {
-		e := engine.New(o.Parallelism)
-		e.SetBackend(o.Backend)
-		return e
-	}
-	return engine.Default()
 }
 
 // job names one simulation of this experiment's grid.
@@ -152,11 +143,9 @@ func (o Options) traceJob(spec workload.Spec) engine.TraceJob {
 // missTraces returns the per-core filtered miss traces for a workload;
 // the records are read-only. Within one engine, extraction runs once per
 // (workload, scale, cores, events) and is shared by every analysis
-// experiment — runners sharing an engine (the default, or an explicit
-// o.Engine) never re-extract. A nonzero Parallelism with a nil Engine
-// creates a fresh engine per call and forgoes that cross-call sharing.
+// experiment that runs on that engine.
 func missTraces(spec workload.Spec, o Options) [][]trace.MissRecord {
-	return o.engine().ExtractTraces(o.ctx(), o.traceJob(spec))
+	return o.Engine.ExtractTraces(o.ctx(), o.traceJob(spec))
 }
 
 // analysisTraces enumerates the trace extractions the offline analysis
@@ -240,7 +229,7 @@ func Fig1(o Options) (Fig1Result, string) {
 	coverages := fig1Coverages
 
 	suite := o.suite()
-	results := o.engine().RunAll(o.ctx(), fig1Jobs(o))
+	results := o.Engine.RunAll(o.ctx(), fig1Jobs(o))
 
 	headers := []string{"Workload"}
 	for _, c := range coverages {
@@ -278,7 +267,6 @@ type Fig3Row struct {
 // same categorization's stream lengths feed Fig5.
 func Fig3(o Options) ([]Fig3Row, string) {
 	o = o.withDefaults()
-	e := o.engine()
 	var rows []Fig3Row
 	t := stats.NewTable("Fig. 3. Miss categorization by SEQUITUR analysis (% of L1-I misses)",
 		"Workload", "Opportunity", "Head", "New", "Non-repetitive", "Repetitive")
@@ -286,7 +274,7 @@ func Fig3(o Options) ([]Fig3Row, string) {
 		// The per-core grammars come from the engine's memoized (and
 		// store-persisted) grammar tier; a warm process categorizes
 		// without re-running SEQUITUR.
-		snaps := e.Grammars(o.ctx(), o.traceJob(spec), false)
+		snaps := o.Engine.Grammars(o.ctx(), o.traceJob(spec), false)
 		// Categorize per core and merge counts (the paper logs per-core
 		// miss sequences).
 		merged := stats.NewCategories(analysis.CatOpportunity, analysis.CatHead,
@@ -325,14 +313,13 @@ type Fig5Row struct {
 // removed (modeling a perfect next-line prefetcher, Section 4.3).
 func Fig5(o Options) ([]Fig5Row, string) {
 	o = o.withDefaults()
-	e := o.engine()
 	var rows []Fig5Row
 	marks := []float64{0.25, 0.5, 0.75, 0.9}
 	t := stats.NewTable("Fig. 5. Recurring stream lengths, sequential misses removed (length at %opportunity)",
 		"Workload", "p25", "median", "p75", "p90", "max")
 	for _, spec := range o.suite() {
 		// The dropSequential grammar variant is its own persisted entry.
-		snaps := e.Grammars(o.ctx(), o.traceJob(spec), true)
+		snaps := o.Engine.Grammars(o.ctx(), o.traceJob(spec), true)
 		lengths := stats.NewHistogram()
 		for _, snap := range snaps {
 			c := analysis.CategorizeSnapshot(snap)
@@ -373,7 +360,6 @@ type Fig6Row struct {
 // Fig6 compares the stream lookup heuristics (Section 4.4).
 func Fig6(o Options) ([]Fig6Row, string) {
 	o = o.withDefaults()
-	e := o.engine()
 	var rows []Fig6Row
 	t := stats.NewTable("Fig. 6. Stream lookup heuristics (% of misses eliminated)",
 		"Workload", "First", "Digram", "Recent", "Longest", "Opportunity")
@@ -381,8 +367,8 @@ func Fig6(o Options) ([]Fig6Row, string) {
 		// Heuristic replay needs the raw miss sequences; the opportunity
 		// column reuses the same full-trace grammars Fig3 categorizes
 		// (shared through the engine's grammar memo).
-		perCore := e.ExtractTraces(o.ctx(), o.traceJob(spec))
-		snaps := e.Grammars(o.ctx(), o.traceJob(spec), false)
+		perCore := o.Engine.ExtractTraces(o.ctx(), o.traceJob(spec))
+		snaps := o.Engine.Grammars(o.ctx(), o.traceJob(spec), false)
 		covs := map[string]float64{}
 		var opp float64
 		var totalMisses uint64

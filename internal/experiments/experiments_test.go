@@ -27,8 +27,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %q missing", id)
 		}
-		serial := r.Run(opts(1))
-		parallel := r.Run(opts(8))
+		serial := r.run(opts(1))
+		parallel := r.run(opts(8))
 		if serial != parallel {
 			t.Errorf("%s: parallel output differs from serial:\n--- serial\n%s\n--- parallel\n%s",
 				id, serial, parallel)

@@ -37,7 +37,7 @@ func TestFaultGoldenBytesUnderTransientStoreFaults(t *testing.T) {
 	e.SetBackend(st)
 	for _, r := range Registry()[:3] {
 		want := readGolden(t, r.ID)
-		if got := r.Run(goldenOptions(8, e)); got != want {
+		if got := r.run(goldenOptions(8, e)); got != want {
 			t.Errorf("%s: output under transient store faults diverged from golden:\n--- golden\n%s\n--- got\n%s",
 				r.ID, want, got)
 		}

@@ -62,7 +62,7 @@ func TestGoldenOutputs(t *testing.T) {
 		}
 		e := engine.New(0)
 		for _, r := range Registry() {
-			out := r.Run(goldenOptions(0, e))
+			out := r.run(goldenOptions(0, e))
 			if err := os.WriteFile(goldenPath(r.ID), []byte(out), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -77,10 +77,10 @@ func TestGoldenOutputs(t *testing.T) {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
 			want := readGolden(t, r.ID)
-			if got := r.Run(goldenOptions(1, serialEngine)); got != want {
+			if got := r.run(goldenOptions(1, serialEngine)); got != want {
 				t.Errorf("serial output diverged from golden:\n--- golden\n%s\n--- got\n%s", want, got)
 			}
-			if got := r.Run(goldenOptions(8, parallelEngine)); got != want {
+			if got := r.run(goldenOptions(8, parallelEngine)); got != want {
 				t.Errorf("parallel output diverged from golden:\n--- golden\n%s\n--- got\n%s", want, got)
 			}
 		})

@@ -26,20 +26,20 @@ func TestGridMatchesExecution(t *testing.T) {
 				Parallelism: 4,
 				Engine:      e,
 			}
-			out := r.Run(o)
+			out := r.run(o)
 			if out == "" {
 				t.Fatal("experiment produced no output")
 			}
 			ranSims, ranTraces := e.Keys()
 
-			if r.Grid == nil {
+			if r.grid == nil {
 				if len(ranSims)+len(ranTraces) != 0 {
 					t.Fatalf("experiment simulates (%d sims, %d traces) but enumerates no grid",
 						len(ranSims), len(ranTraces))
 				}
 				return
 			}
-			jobs, traces := r.Grid(o)
+			jobs, traces := r.grid(o)
 			if !reflect.DeepEqual(jobKeys(jobs), ranSims) {
 				t.Errorf("grid sims != executed sims:\ngrid %v\nran  %v", jobKeys(jobs), ranSims)
 			}

@@ -38,7 +38,7 @@ func Fig12(o Options) ([]Fig12Row, string) {
 	t := stats.NewTable("Fig. 12. TIFS coverage, discards, and L2 traffic overhead (virtualized IML)",
 		"Workload", "Coverage", "Discards", "IML traffic", "Total overhead")
 	suite := o.suite()
-	results := o.engine().RunAll(o.ctx(), fig12Jobs(o))
+	results := o.Engine.RunAll(o.ctx(), fig12Jobs(o))
 	for i, spec := range suite {
 		r := results[i]
 		var useful uint64
@@ -121,7 +121,7 @@ func comparison(o Options, mechs []sim.Mechanism, title string) ([]Fig13Row, str
 	// that needs it.
 	suite := o.suite()
 	stride := 1 + len(mechs)
-	results := o.engine().RunAll(o.ctx(), comparisonJobs(o, mechs))
+	results := o.Engine.RunAll(o.ctx(), comparisonJobs(o, mechs))
 
 	for wi, spec := range suite {
 		base := results[wi*stride]
@@ -178,7 +178,7 @@ func AblationSVB(o Options) string {
 	t := stats.NewTable("Ablation: SVB rate-matching lookahead (speedup over next-line)", headers...)
 	suite := o.suite()
 	stride := 1 + len(mechs)
-	results := o.engine().RunAll(o.ctx(), comparisonJobs(o, mechs))
+	results := o.Engine.RunAll(o.ctx(), comparisonJobs(o, mechs))
 	for wi, spec := range suite {
 		base := results[wi*stride]
 		cells := []string{spec.Name}
@@ -205,7 +205,7 @@ func AblationEndOfStream(o Options) string {
 	t := stats.NewTable("Ablation: end-of-stream detection (speedup | discards)",
 		"Workload", "eos-on", "eos-off", "discards-on", "discards-off")
 	suite := o.suite()
-	results := o.engine().RunAll(o.ctx(), comparisonJobs(o, eosMechs()))
+	results := o.Engine.RunAll(o.ctx(), comparisonJobs(o, eosMechs()))
 	for wi, spec := range suite {
 		base, rOn, rOff := results[3*wi], results[3*wi+1], results[3*wi+2]
 		t.AddRow(spec.Name,
@@ -244,7 +244,7 @@ func AblationIndexDrops(o Options) string {
 	}
 	t := stats.NewTable("Ablation: dropped index updates (TIFS coverage)", headers...)
 	suite := o.suite()
-	results := o.engine().RunAll(o.ctx(), dropsJobs(o))
+	results := o.Engine.RunAll(o.ctx(), dropsJobs(o))
 	for wi, spec := range suite {
 		cells := []string{spec.Name}
 		for pi := range probs {

@@ -7,20 +7,21 @@ import (
 	"tifs/internal/engine"
 )
 
-// Runner executes one named experiment and returns its rendered output.
+// Runner is one named experiment. RunSelected runs it and Grid
+// enumerates its work; both validate the options first.
 type Runner struct {
 	// ID is the experiment identifier ("fig13", "table1", ...).
 	ID string
 	// Description says what the experiment reproduces.
 	Description string
-	// Run executes it.
-	Run func(Options) string
-	// Grid enumerates, without running anything, the simulations and
-	// trace extractions Run will request under the same options. Sharded
+	// run executes it.
+	run func(Options) string
+	// grid enumerates, without running anything, the simulations and
+	// trace extractions run will request under the same options. Sharded
 	// sweeps partition this enumeration across machines; nil means the
 	// experiment simulates nothing (static tables).
-	// TestGridMatchesExecution holds every Grid to exactly what Run does.
-	Grid func(Options) ([]engine.Job, []engine.TraceJob)
+	// TestGridMatchesExecution holds every grid to exactly what run does.
+	grid func(Options) ([]engine.Job, []engine.TraceJob)
 }
 
 // simGrid adapts a jobs-only enumerator to the Grid signature.
@@ -41,42 +42,42 @@ func traceGrid(o Options) ([]engine.Job, []engine.TraceJob) {
 func Registry() []Runner {
 	return []Runner{
 		{ID: "table1", Description: "Workload suite parameters (Table I)",
-			Run: func(o Options) string { return Table1(o) }},
+			run: func(o Options) string { return Table1(o) }},
 		{ID: "table2", Description: "System parameters (Table II)",
-			Run: func(Options) string { return Table2() }},
+			run: func(Options) string { return Table2() }},
 		{ID: "fig1", Description: "Opportunity: speedup vs. prefetch coverage (Fig. 1)",
-			Run:  func(o Options) string { _, s := Fig1(o); return s },
-			Grid: simGrid(fig1Jobs)},
+			run:  func(o Options) string { _, s := Fig1(o); return s },
+			grid: simGrid(fig1Jobs)},
 		{ID: "fig3", Description: "SEQUITUR miss categorization (Fig. 3)",
-			Run:  func(o Options) string { _, s := Fig3(o); return s },
-			Grid: traceGrid},
+			run:  func(o Options) string { _, s := Fig3(o); return s },
+			grid: traceGrid},
 		{ID: "fig5", Description: "Recurring stream lengths (Fig. 5)",
-			Run:  func(o Options) string { _, s := Fig5(o); return s },
-			Grid: traceGrid},
+			run:  func(o Options) string { _, s := Fig5(o); return s },
+			grid: traceGrid},
 		{ID: "fig6", Description: "Stream lookup heuristics (Fig. 6)",
-			Run:  func(o Options) string { _, s := Fig6(o); return s },
-			Grid: traceGrid},
+			run:  func(o Options) string { _, s := Fig6(o); return s },
+			grid: traceGrid},
 		{ID: "fig10", Description: "FDIP lookahead limits (Fig. 10)",
-			Run:  func(o Options) string { _, s := Fig10(o); return s },
-			Grid: traceGrid},
+			run:  func(o Options) string { _, s := Fig10(o); return s },
+			grid: traceGrid},
 		{ID: "fig11", Description: "IML capacity requirements (Fig. 11)",
-			Run:  func(o Options) string { _, s := Fig11(o); return s },
-			Grid: traceGrid},
+			run:  func(o Options) string { _, s := Fig11(o); return s },
+			grid: traceGrid},
 		{ID: "fig12", Description: "Coverage, discards, traffic overhead (Fig. 12)",
-			Run:  func(o Options) string { _, s := Fig12(o); return s },
-			Grid: simGrid(fig12Jobs)},
+			run:  func(o Options) string { _, s := Fig12(o); return s },
+			grid: simGrid(fig12Jobs)},
 		{ID: "fig13", Description: "Performance comparison (Fig. 13)",
-			Run:  func(o Options) string { _, s := Fig13(o); return s },
-			Grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, Fig13Mechanisms()) })},
+			run:  func(o Options) string { _, s := Fig13(o); return s },
+			grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, Fig13Mechanisms()) })},
 		{ID: "ablation-svb", Description: "Ablation: SVB lookahead depth",
-			Run:  AblationSVB,
-			Grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, svbMechs()) })},
+			run:  AblationSVB,
+			grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, svbMechs()) })},
 		{ID: "ablation-eos", Description: "Ablation: end-of-stream detection",
-			Run:  AblationEndOfStream,
-			Grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, eosMechs()) })},
+			run:  AblationEndOfStream,
+			grid: simGrid(func(o Options) []engine.Job { return comparisonJobs(o, eosMechs()) })},
 		{ID: "ablation-drops", Description: "Ablation: dropped index updates",
-			Run:  AblationIndexDrops,
-			Grid: simGrid(dropsJobs)},
+			run:  AblationIndexDrops,
+			grid: simGrid(dropsJobs)},
 	}
 }
 
@@ -102,10 +103,10 @@ func Grid(ids []string, o Options) ([]engine.Job, []engine.TraceJob, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 		}
-		if r.Grid == nil {
+		if r.grid == nil {
 			continue
 		}
-		js, ts := r.Grid(o)
+		js, ts := r.grid(o)
 		for _, j := range js {
 			if key := j.Key(); !seenJob[key] {
 				seenJob[key] = true
@@ -170,15 +171,13 @@ func RunSelected(ids []string, o Options, progress Progress) (string, error) {
 			runners = append(runners, r)
 		}
 	}
-	if o.Engine == nil {
-		o.Engine = o.engine()
-	}
+	o = o.withDefaults()
 	var b strings.Builder
 	for _, r := range runners {
 		if progress != nil {
 			progress(r.ID, false)
 		}
-		out := r.Run(o)
+		out := r.run(o)
 		if len(runners) == 1 && len(ids) == 1 {
 			b.WriteString(out)
 		} else {

@@ -24,7 +24,7 @@ type FDIPConfig struct {
 	PredictorEntries int
 	// ExploreRate bounds how many events exploration advances per fetch
 	// step, modeling the predictor's one-or-two-predictions-per-cycle
-	// bandwidth (Section 3's first fundamental flaw). Default 3.
+	// bandwidth (Section 3's first fundamental flaw). Default 4.
 	ExploreRate int
 	// WrongPathBlocks is how many blocks are fetched down the wrong path
 	// when a branch is mispredicted before exploration stops (pollution

@@ -460,8 +460,9 @@ func NewSimEngine(parallelism int, st StoreBackend) *SimEngine {
 // tables are byte-identical at every setting.
 type ExperimentOptions = experiments.Options
 
-// Experiment is a named, runnable reproduction of one paper table or
-// figure.
+// Experiment names one reproducible paper table or figure: its ID and
+// Description. Run it with RunExperiments and enumerate its work with
+// ExperimentGrid, which both validate the options first.
 type Experiment = experiments.Runner
 
 // Experiments lists every reproducible table/figure and ablation.
